@@ -6,7 +6,10 @@ here make the full-scale harness painful, so this file does two jobs:
 * pin absolute floors (the model must stay usable at all), and
 * measure a (kernel x machine point) throughput grid, emit it as
   ``BENCH_sim.json``, and gate against the committed
-  ``benchmarks/BENCH_baseline.json``.
+  ``benchmarks/BENCH_baseline.json``: every cell's committed digest,
+  cycle count and committed-instruction count must equal the recorded
+  cell exactly (speed work may change only wall clock), and normalized
+  throughput may not regress past the tolerance.
 
 Raw inst/s numbers are machine-dependent, so the regression gate compares
 *normalized* throughput: the simulator's committed-instructions/sec divided
@@ -21,13 +24,6 @@ Environment knobs:
   (minutes) instead of the pinned CI subset at test scales (seconds).
 * ``BENCH_UPDATE_BASELINE=1`` — rewrite ``benchmarks/BENCH_baseline.json``
   with this run's numbers instead of gating against it.
-* ``BENCH_SPECIALIZE=0`` — run the grid with block specialization off
-  (report only: no baseline gate, no baseline update).  CI runs the grid
-  in both modes and asserts the per-cell digests/cycles/instruction
-  counts are identical — the specialized path must be exactly behavior
-  preserving.
-* ``BENCH_OUTPUT=<path>`` — write the report somewhere other than
-  ``BENCH_sim.json`` (CI uses it to keep the two modes' reports apart).
 """
 
 import json
@@ -57,11 +53,7 @@ REGRESSION_TOLERANCE = 0.20
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
-OUTPUT_PATH = REPO_ROOT / os.environ.get("BENCH_OUTPUT", "BENCH_sim.json")
-
-#: Grid-wide config overrides (BENCH_SPECIALIZE=0 → interpreted path).
-SPECIALIZE = os.environ.get("BENCH_SPECIALIZE") != "0"
-OVERRIDES = {} if SPECIALIZE else {"specialize": False}
+OUTPUT_PATH = REPO_ROOT / "BENCH_sim.json"
 
 
 def _calibration_rate() -> float:
@@ -76,6 +68,11 @@ def _calibration_rate() -> float:
         if best is None or dt < best:
             best = dt
     return trace.dynamic_instructions / best
+
+
+def _identity(cell) -> tuple:
+    """What a grid cell computed, as opposed to how fast."""
+    return cell["digest"], cell["cycles"], cell["insts"]
 
 
 def _grid_instances(full: bool):
@@ -96,12 +93,11 @@ def test_simulator_throughput_grid():
     for name, instance in _grid_instances(full):
         golden_of(instance)                  # exclude golden from timing
         for point in BENCH_POINTS:
-            run_point(instance, point,       # warm (templates, caches)
-                      **OVERRIDES)
+            run_point(instance, point)       # warm (templates, caches)
             best = None
             for _ in range(2):
                 t0 = time.perf_counter()
-                result = run_point(instance, point, **OVERRIDES)
+                result = run_point(instance, point)
                 dt = time.perf_counter() - t0
                 if best is None or dt < best:
                     best = dt
@@ -134,7 +130,6 @@ def test_simulator_throughput_grid():
     }
     report = {
         "full": full,
-        "specialize": SPECIALIZE,
         "cells": cells,
         "kernels": kernels,
         "geomean_rate": round(geomean, 1),
@@ -144,10 +139,6 @@ def test_simulator_throughput_grid():
     OUTPUT_PATH.write_text(json.dumps(report, indent=1, sort_keys=True)
                            + "\n")
 
-    if not SPECIALIZE:
-        # Off-mode runs exist for the CI digest-equality check; only the
-        # default (specialized) configuration is baseline-gated.
-        return
     if update:
         BASELINE_PATH.write_text(
             json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -157,6 +148,13 @@ def test_simulator_throughput_grid():
         # runs just emit BENCH_sim.json for the trajectory record.
         return
     baseline = json.loads(BASELINE_PATH.read_text())
+    recorded = baseline["cells"]
+    assert set(cells) == set(recorded), sorted(set(cells) ^ set(recorded))
+    drifted = [name for name in sorted(cells)
+               if _identity(cells[name]) != _identity(recorded[name])]
+    assert not drifted, (
+        f"cells drifted from BENCH_baseline.json in (digest, cycles, "
+        f"committed instructions): {drifted}")
     floor = baseline["normalized"] * (1.0 - REGRESSION_TOLERANCE)
     assert normalized >= floor, (
         f"simulator throughput regressed: normalized {normalized:.4f} < "

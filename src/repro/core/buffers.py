@@ -91,9 +91,9 @@ class TokenBuffer:
 
     def deposit4(self, producer: ProducerKey, wave: int, value: TokenValue,
                  final: bool) -> Tuple[bool, bool]:
-        """Scalar-argument :meth:`deposit` — the specialized token path
-        carries token fields as flat tuple slots, so the buffer absorbs
-        them without a Token shell.  Semantics are identical: stale tokens
+        """Scalar-argument :meth:`deposit` — the processor carries token
+        fields as flat tuple slots, so the buffer absorbs them without a
+        Token shell.  Semantics are identical: stale tokens
         (lower wave than already seen from the same producer) are dropped —
         they lost a race against a newer re-execution.
         """

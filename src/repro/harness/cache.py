@@ -70,6 +70,16 @@ def _is_shard_dir(name: str) -> bool:
     return True
 
 
+def _listdir(path: str) -> List[str]:
+    """``os.listdir``, or nothing for a directory that is gone: another
+    process's :meth:`ResultCache.clear` may prune an emptied shard
+    directory between a caller's ``isdir`` check and the listing."""
+    try:
+        return os.listdir(path)
+    except FileNotFoundError:
+        return []
+
+
 @dataclass
 class CacheSession:
     """Hit/miss accounting for one runner session."""
@@ -186,10 +196,18 @@ class ResultCache:
         """Atomically write ``record`` under ``key``."""
         record = dict(record, schema=SCHEMA_VERSION, key=key)
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
+        for attempt in range(3):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(record, fh, sort_keys=True)
+                break
+            except FileNotFoundError:
+                # A concurrent clear pruned the still-empty shard
+                # directory between makedirs and open: make it again.
+                if attempt == 2:
+                    raise
         os.replace(tmp, path)
         self.session.stored += 1
 
@@ -233,7 +251,7 @@ class ResultCache:
             shard_dir = os.path.join(self.root, shard)
             if not os.path.isdir(shard_dir) or not _is_shard_dir(shard):
                 continue
-            for name in sorted(os.listdir(shard_dir)):
+            for name in sorted(_listdir(shard_dir)):
                 if name.endswith(".json") and ".tmp." not in name:
                     found.append(os.path.join(shard_dir, name))
         return found
@@ -247,7 +265,7 @@ class ResultCache:
         for entry in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, entry)
             if os.path.isdir(path):
-                for name in sorted(os.listdir(path)):
+                for name in sorted(_listdir(path)):
                     if ".tmp." in name:
                         found.append(os.path.join(path, name))
             elif ".tmp." in entry:
@@ -261,11 +279,11 @@ class ResultCache:
         total_bytes = 0
         root = os.path.join(self.root, name)
         if os.path.isdir(root):
-            for shard in os.listdir(root):
+            for shard in _listdir(root):
                 shard_dir = os.path.join(root, shard)
                 if not os.path.isdir(shard_dir):
                     continue
-                for entry in os.listdir(shard_dir):
+                for entry in _listdir(shard_dir):
                     if ".tmp." in entry:
                         continue
                     try:
@@ -340,7 +358,7 @@ class ResultCache:
         if os.path.isdir(self.root):
             for shard in os.listdir(self.root):
                 shard_dir = os.path.join(self.root, shard)
-                if os.path.isdir(shard_dir) and not os.listdir(shard_dir):
+                if os.path.isdir(shard_dir) and not _listdir(shard_dir):
                     try:
                         os.rmdir(shard_dir)
                     except OSError:

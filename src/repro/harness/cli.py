@@ -70,8 +70,7 @@ def _print_session_metrics(root: str) -> None:
     print(f"  worker pool     {m.get('pool_spinups', 0)} spinups, "
           f"{m.get('pool_reuses', 0)} reuses")
     print(f"  specialization  {m.get('specialize_hits', 0)} hits, "
-          f"{m.get('specialize_misses', 0)} misses, "
-          f"{m.get('specialize_declined', 0)} declined")
+          f"{m.get('specialize_misses', 0)} misses")
     elided = m.get("cells_elided", 0)
     if elided or m.get("representative_runs", 0) \
             or m.get("elision_fallbacks", 0):

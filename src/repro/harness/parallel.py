@@ -66,7 +66,6 @@ _SESSION_SUM_KEYS = ("plans_run", "cells_executed", "cells_from_cache",
                      "kernels_executed", "golden_fresh_runs",
                      "golden_memo_hits", "pool_spinups", "pool_reuses",
                      "specialize_hits", "specialize_misses",
-                     "specialize_declined",
                      "fu_work_issued", "fu_work_committed",
                      "squashed_executions", "wave_operand_sends",
                      "epoch_rollbacks", "epoch_rollback_depth",
@@ -74,12 +73,10 @@ _SESSION_SUM_KEYS = ("plans_run", "cells_executed", "cells_from_cache",
                      "elision_fallbacks", "plan_cache_hits",
                      "plan_cache_misses", "golden_store_hits")
 
-#: Block-specialization counters lifted from executed cells' SimStats
-#: (cached cells are excluded — they did no specialization work in this
-#: session, and their recorded counters describe whichever run produced
-#: them).
-_SPECIALIZE_KEYS = ("specialize_hits", "specialize_misses",
-                    "specialize_declined")
+#: Block-plan counters lifted from executed cells' SimStats (cached
+#: cells are excluded — they did no plan work in this session, and their
+#: recorded counters describe whichever run produced them).
+_SPECIALIZE_KEYS = ("specialize_hits", "specialize_misses")
 
 #: Work-attribution counters lifted from executed cells' SimStats.
 #: Unlike the specialize keys these describe the *simulated machine*
@@ -423,10 +420,9 @@ class ParallelRunner:
         self.golden_fresh = 0
         self.golden_memo_hits = 0
         self.pool_reuses = 0
-        #: Block-specialization activity summed over *executed* cells.
+        #: Block-plan activity summed over *executed* cells.
         self.specialize_hits = 0
         self.specialize_misses = 0
-        self.specialize_declined = 0
         self._plan_specialize: Dict[str, int] = \
             dict.fromkeys(_SPECIALIZE_KEYS, 0)
         #: Work attribution summed over *executed* cells (session total
@@ -515,8 +511,10 @@ class ParallelRunner:
         owned: List[int] = []
         foreign: List[int] = []
         for index in range(len(cells)):
-            if self.cache.load(keys[index]) is not None:
+            record = self.cache.load(keys[index])
+            if record is not None:
                 cached.append(index)
+                self._merge_record_stats(record)
             elif self.cache.owns_key(keys[index]):
                 owned.append(index)
             else:
@@ -534,6 +532,7 @@ class ParallelRunner:
         for index, record in self._execute(cells, digests, owned):
             forwarded = record.get("forwarded_from")
             self._admit(keys[index], record)
+            self._merge_record_stats(record)
             if forwarded:
                 forwarded_cells += 1
             else:
@@ -706,8 +705,14 @@ class ParallelRunner:
 
     # -- metrics --------------------------------------------------------
 
+    def _merge_record_stats(self, record: dict) -> None:
+        """Fold one record's counters into :attr:`merged_stats` — every
+        cell a plan produced counts, as in :meth:`run_plan`."""
+        self.merged_stats.merge(
+            _counters_from_dict(SimStats, record["result"]["stats"]))
+
     def _note_cell_stats(self, record: dict) -> None:
-        """Fold one executed cell's specialization and work-attribution
+        """Fold one executed cell's block-plan and work-attribution
         counters into the per-plan sums (consumed by
         :meth:`_account_plan`)."""
         stats = record["result"]["stats"]
@@ -735,7 +740,6 @@ class ParallelRunner:
         self.golden_memo_hits += self._plan_golden_hits
         self.specialize_hits += spec["specialize_hits"]
         self.specialize_misses += spec["specialize_misses"]
-        self.specialize_declined += spec["specialize_declined"]
         self.representative_runs += elide["representatives"]
         self.elision_fallbacks += elide["fallbacks"]
         for key in _PLANSTORE_KEYS:
@@ -760,7 +764,6 @@ class ParallelRunner:
             inflight_dedup_hits=getattr(self, "_plan_dedup_hits", 0),
             specialize_hits=spec["specialize_hits"],
             specialize_misses=spec["specialize_misses"],
-            specialize_declined=spec["specialize_declined"],
             fu_work_issued=work["fu_work_issued"],
             fu_work_committed=work["fu_work_committed"],
             squashed_executions=work["squashed_executions"],
@@ -794,7 +797,6 @@ class ParallelRunner:
             "pool_reuses": self.pool_reuses,
             "specialize_hits": self.specialize_hits,
             "specialize_misses": self.specialize_misses,
-            "specialize_declined": self.specialize_declined,
             **{key: self.work_totals[key] for key in _WORK_KEYS},
             "cells_elided": self.cells_elided,
             "representative_runs": self.representative_runs,

@@ -379,11 +379,10 @@ class SweepMetrics:
     #: Cells of this plan that were not executed *or* cached but joined
     #: an execution already in flight for another plan (sweep server).
     inflight_dedup_hits: int = 0
-    #: Block-specialization code-cache activity summed over this plan's
-    #: *executed* cells (repro.uarch.specialize; cached cells excluded).
+    #: Block-plan code-cache activity summed over this plan's *executed*
+    #: cells (repro.uarch.specialize; cached cells excluded).
     specialize_hits: int = 0
     specialize_misses: int = 0
-    specialize_declined: int = 0
     #: Work attribution summed over this plan's *executed* cells: FU
     #: work by fate (issued == committed + squashed), wave-2+ operand
     #: re-delivery traffic, and epoch-granular rollback activity (zero
@@ -401,9 +400,9 @@ class SweepMetrics:
     elided_cells: int = 0
     representative_runs: int = 0
     elision_fallbacks: int = 0
-    #: Persistent plan/golden stores: block plans (or declines) loaded
-    #: from disk vs. compiled+written-through, and golden runs served
-    #: from disk (no interpreter run paid).
+    #: Persistent plan/golden stores: block plans loaded from disk vs.
+    #: compiled+written-through, and golden runs served from disk (no
+    #: interpreter run paid).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     golden_store_hits: int = 0
@@ -425,7 +424,6 @@ class SweepMetrics:
             "inflight_dedup_hits": self.inflight_dedup_hits,
             "specialize_hits": self.specialize_hits,
             "specialize_misses": self.specialize_misses,
-            "specialize_declined": self.specialize_declined,
             "fu_work_issued": self.fu_work_issued,
             "fu_work_committed": self.fu_work_committed,
             "squashed_executions": self.squashed_executions,

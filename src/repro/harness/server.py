@@ -364,8 +364,7 @@ class SweepServer:
         self._session_totals: Dict[str, float] = {key: 0 for key in (
             "plans_run", "cells_executed", "cells_from_cache",
             "wall_seconds", "pool_reuses", "specialize_hits",
-            "specialize_misses", "specialize_declined",
-            "fu_work_issued", "fu_work_committed",
+            "specialize_misses", "fu_work_issued", "fu_work_committed",
             "squashed_executions", "wave_operand_sends",
             "epoch_rollbacks", "epoch_rollback_depth")}
         self._last_plan_metrics: Optional[dict] = None
@@ -476,7 +475,6 @@ class SweepServer:
             "pool_reuses": int(totals["pool_reuses"]),
             "specialize_hits": int(totals["specialize_hits"]),
             "specialize_misses": int(totals["specialize_misses"]),
-            "specialize_declined": int(totals["specialize_declined"]),
             **{key: int(totals[key]) for key in _WORK_KEYS},
             # Chunk-level elision and persistent-store activity: counted
             # once per executed chunk, so concurrent plans sharing a
@@ -639,7 +637,6 @@ class SweepServer:
         totals["pool_reuses"] += runner.pool_reuses
         totals["specialize_hits"] += runner.specialize_hits
         totals["specialize_misses"] += runner.specialize_misses
-        totals["specialize_declined"] += runner.specialize_declined
         for key in _WORK_KEYS:
             totals[key] += runner.work_totals[key]
         if runner.last_metrics is not None:
@@ -835,8 +832,6 @@ class SweepServer:
                     "hits": int(self._session_totals["specialize_hits"]),
                     "misses":
                         int(self._session_totals["specialize_misses"]),
-                    "declined":
-                        int(self._session_totals["specialize_declined"]),
                 },
                 "work": {key: int(self._session_totals[key])
                          for key in _WORK_KEYS},

@@ -74,7 +74,7 @@ class Block:
         self._frame_template = None
         #: LSQ registration template (see repro.uarch.lsq).
         self._lsq_template = None
-        #: Specialized activation plans, one per machine point (bounded
+        #: Compiled activation plans, one per machine point (bounded
         #: LRU; see repro.uarch.specialize).
         self._plan_cache = None
         #: Set by a successful :meth:`validate`; mutation goes through the

@@ -60,15 +60,12 @@ class SimStats:
     epoch_rollbacks: int = 0            # violations rolled back by epoch
     epoch_rollback_depth: int = 0       # frames between violator and target
 
-    # Block-specialization code cache (repro.uarch.specialize):
-    # plan-backed activations, cold plan resolutions (this run's first
-    # activation of each block — deterministic per run, regardless of
-    # shared-cache warmth), and activations that fell back to the
-    # interpreted path while the ``specialize`` knob was on.  All three
-    # stay zero with the knob off.
+    # Block-plan code cache (repro.uarch.specialize): plan-backed
+    # activations (one per mapped frame) and cold plan resolutions (this
+    # run's first activation of each block — deterministic per run,
+    # regardless of shared-cache warmth).
     specialize_hits: int = 0
     specialize_misses: int = 0
-    specialize_declined: int = 0
 
     @property
     def ipc(self) -> float:

@@ -91,19 +91,13 @@ class MachineConfig:
     check_with_golden: bool = True
     watchdog_cycles: int = 400_000   # max cycles with no commit progress
     max_cycles: int = 50_000_000
-    #: Block-specialized compiled simulation (repro.uarch.specialize):
-    #: compile per-(block, machine-point) activation plans and run the
-    #: flat-token fast paths.  Exactly behavior-preserving — the knob
-    #: exists for A/B verification and as an escape hatch, not as a
-    #: modelling axis — so it is elided from cache keys at its default.
-    specialize: bool = True
 
     #: Fields omitted from :meth:`to_dict` while at their default value.
     #: Fields added *after* results exist go here so that configs which do
     #: not exercise them serialise exactly as before — keeping every
     #: previously computed ``stable_hash`` (the sweep cache key) valid.
     _ELIDE_AT_DEFAULT: ClassVar[FrozenSet[str]] = frozenset(
-        {"hybrid_redelivery_limit", "specialize", "txwave_epoch_blocks"})
+        {"hybrid_redelivery_limit", "txwave_epoch_blocks"})
 
     # ------------------------------------------------------------------
 

@@ -111,10 +111,11 @@ class Frame:
         #: Block name actually fetched after this frame (for redirects).
         self.fetched_next: Optional[str] = None
         self.mapped_cycle = 0
-        #: Specialized activation plan (repro.uarch.specialize), attached
-        #: by ``Processor._map_frame`` on every map — including recycled
+        #: The block's compiled activation plan (repro.uarch.specialize)
+        #: that every send of this frame reads, attached by
+        #: ``Processor._map_frame`` on every map — including recycled
         #: frames, which may have been parked under a different machine
-        #: point.  ``None`` selects the interpreted paths.
+        #: point.  ``None`` only while the frame is unmapped.
         self.plan = None
 
     # ------------------------------------------------------------------

@@ -6,6 +6,10 @@ messages per cycle; excess deliveries slip to following cycles in arrival
 order.  The same fabric carries speculative waves, NULL tokens, LSQ traffic
 and the commit wave — so DSRE's extra traffic has a measurable cost, which
 experiment E6 quantifies.
+
+``Processor.run`` applies these send and delivery rules inline to the
+flat entries of :mod:`repro.uarch.specialize`; the methods here state
+them for the unit tests, and a rule changed here must change there too.
 """
 
 from __future__ import annotations

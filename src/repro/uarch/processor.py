@@ -11,6 +11,11 @@ with branch redirects, see :meth:`Processor.squash_from`) and the
 commit-wave token machinery, enabled by the protocol's
 ``requires_commit_wave`` capability flag rather than by its name.
 
+Every block executes from its compiled :class:`~repro.uarch.specialize
+.BlockPlan`: sends are flat tuples on the operand network's heap (the
+entry codes are tabulated in :mod:`repro.uarch.specialize`), and
+:meth:`Processor.run` holds the one delivery sweep and the one tile walk.
+
 Optionally, a structured event sink (:class:`~repro.uarch.events
 .EventHooks`) can be attached via :meth:`Processor.attach_hooks`; with no
 sink attached every emission site is a single ``is None`` test.
@@ -31,10 +36,8 @@ from ..arch.interp import run_program
 from ..arch.state import ArchState
 from ..arch.trace import ExecutionTrace
 from ..core.node import InstructionNode, NodeState, Outcome, OutcomeKind
-from ..core.tokens import (BRANCH_DEST, SlotStatus, Token, inst_dest,
-                           write_dest)
+from ..core.tokens import SlotStatus
 from ..errors import GoldenMismatchError, SimulationError
-from ..isa.instruction import Target, TargetKind
 from ..isa.program import HALT_LABEL, Program
 from ..spec import build_policy
 from ..stats import counters as _counters
@@ -44,71 +47,19 @@ from .config import MachineConfig, default_config
 from .events import EventHooks, format_snapshot, machine_snapshot
 from .frame import Frame
 from .lsq import Confirmed, LoadResponse, LoadStoreQueue, Violation
-from .network import Message, MsgKind, OperandNetwork
+from .network import OperandNetwork
 from .predictor import build_predictor
 from .recovery import build_recovery
-from .specialize import FLAT_KIND_NAMES, machine_point_key, plan_for
+from .specialize import (FLAT_KIND_NAMES, BlockPlan, machine_point_key,
+                         plan_for)
 from .tile import ExecTile
 
-#: Arena bounds: retired frames kept per block, and pooled Token/Message
-#: shells overall.  Both caps only bound memory held between bursts — a
-#: miss simply falls back to fresh allocation.
+#: Arena bound: retired frames kept per block.  The cap only bounds
+#: memory held between bursts — a miss simply allocates a fresh frame.
 _FRAME_ARENA_CAP = 8
-_SHELL_POOL_CAP = 512
 
 #: Sentinel "no tile work scheduled" cycle (past any legal max_cycles).
 _NEVER = 1 << 62
-
-#: Message-kind singletons, prebound so the delivery sweep's dispatch
-#: compares against module globals instead of rebinding enum members
-#: on every call.
-_K_TOKEN = MsgKind.TOKEN
-_K_LOAD_REQ = MsgKind.LOAD_REQ
-_K_STORE_UPD = MsgKind.STORE_UPD
-_K_LOAD_RESP = MsgKind.LOAD_RESP
-
-#: Distinguishes "block not seen yet" from a cached decline (``None``) in
-#: the per-processor plan memo.
-_MISSING = object()
-
-
-@dataclass(slots=True)
-class LoadReqPayload:
-    frame_uid: int
-    lsid: int
-    addr: int
-    wave: int
-    final: bool
-
-
-@dataclass(slots=True)
-class StoreUpdPayload:
-    frame_uid: int
-    lsid: int
-    addr: Optional[int]
-    value: Optional[int]
-    wave: int
-    final: bool
-    null: bool
-    addr_final: bool = False
-
-
-@dataclass(slots=True)
-class LoadRespPayload:
-    frame_uid: int
-    inst_index: int
-    value: int
-    final: bool
-    is_redelivery: bool
-
-
-@dataclass(slots=True)
-class RegFwdPayload:
-    frame_uid: int
-    read_index: int
-    value: int
-    wave: int
-    final: bool
 
 
 @dataclass
@@ -206,9 +157,9 @@ class Processor:
         self._active_tiles: set = set()
         #: Earliest cycle at which the tile walk has any work (a ready
         #: entry or a due completion).  Maintained by ``_next_event_cycle``
-        #: and forced to "now" by ``_enqueue``; lets ``run`` skip
-        #: ``_tick_tiles`` on cycles where every active tile is merely
-        #: counting down an FU.
+        #: and forced to "now" by ``_enqueue``; lets ``run`` skip the
+        #: tile walk on cycles where every active tile is merely counting
+        #: down an FU.
         self._tiles_due = 0
 
         self.frames: List[Frame] = []            # oldest first
@@ -226,16 +177,24 @@ class Processor:
         self.stats = SimStats()
         # Hot-path lookup tables: the static instruction-index -> tile
         # coordinate map, the control/LSQ coordinates (the config exposes
-        # them as properties, which rebuild tuples per access), per-opcode
-        # FU latency, and per-instruction token destination plans.
+        # them as properties, which rebuild tuples per access), the routed
+        # LSQ -> tile latency behind every load response, per tile (the
+        # LSQ adds its access latency before the ``max(1, ...)`` clamp, so
+        # the raw route is kept), the control-to-control delay of a
+        # register forward, and per-instruction FU latency (seeded from
+        # each block's plan at first map).
         self._inst_tile = [self.config.tile_of_instruction(i)
                            for i in range(128)]
         self._inst_coord = [self.config.tile_coord(t)
                             for t in self._inst_tile]
         self._control_coord = self.config.control_coord
         self._lsq_coord = self.config.lsq_coord
-        self._op_latency: Dict = {}
-        self._target_plans: Dict[int, Tuple] = {}
+        route = self.config.route_latency
+        self._resp_route = [route(self._lsq_coord, tile.coord)
+                            for tile in self.tiles]
+        self._fwd_delta = max(1, route(self._control_coord,
+                                       self._control_coord))
+        self._op_latency: Dict[int, int] = {}
         #: Protocol capability flag, read on every node event: commit-wave
         #: protocols need finality upgrades and store address-finality
         #: notices; completion-gated ones have no use for either.
@@ -257,37 +216,28 @@ class Processor:
         #: Arena recycling (behavior-preserving; a ctor flag rather than
         #: a MachineConfig field so cache keys and ``stable_hash`` stay
         #: untouched).  Retired frames park in a per-block free list and
-        #: are reset-on-reuse in ``_map_frame``; Token/Message shells
-        #: freed by ``_deliver_messages`` feed ``_send_tokens``.  Stale
-        #: tile-heap entries are life-guarded, never scrubbed, so event
-        #: timing is identical to fresh allocation.  The arena may be
-        #: supplied by the caller to share parked frames across the
-        #: machine points of one kernel (the harness passes one arena per
-        #: *program object*, so a frame's ``block`` reference is always a
-        #: block of the running program); ``reset_for_reuse`` restores
-        #: every mutable field, so cross-processor reuse is as clean as
-        #: same-run reuse.
+        #: are reset-on-reuse in ``_map_frame``.  Stale tile-heap entries
+        #: are life-guarded, never scrubbed, so event timing is identical
+        #: to fresh allocation.  The arena may be supplied by the caller
+        #: to share parked frames across the machine points of one kernel
+        #: (the harness passes one arena per *program object*, so a
+        #: frame's ``block`` reference is always a block of the running
+        #: program); ``reset_for_reuse`` restores every mutable field, so
+        #: cross-processor reuse is as clean as same-run reuse.
         self._recycle = recycle_frames
         self._frame_arena: Dict[str, List[Frame]] = (
             frame_arena if frame_arena is not None else {})
-        #: Block specialization (repro.uarch.specialize): compiled
-        #: activation plans fetched per block at first map, memoized
-        #: per processor (``None`` = declined, interpreted fallback).
-        #: The machine-point key is derived once — plans are shared
-        #: across processors through the per-block LRU cache, but always
+        #: Compiled activation plans (repro.uarch.specialize), fetched per
+        #: block at first map and memoized per processor.  The
+        #: machine-point key is derived once — plans are shared across
+        #: processors through the per-block LRU cache, but always
         #: re-fetched per processor because the config may differ.
-        self._specialize = self.config.specialize
-        self._spec_key = (machine_point_key(self.config)
-                          if self._specialize else None)
-        self._block_plans: Dict[str, object] = {}
-        self._token_pool: List[Token] = []
-        self._msg_pool: List[Message] = []
+        self._spec_key = machine_point_key(self.config)
+        self._block_plans: Dict[str, BlockPlan] = {}
         #: Recycling counters (plain attributes — SimStats is pinned by
         #: the cache record layout).
         self.frames_allocated = 0
         self.frames_recycled = 0
-        self.tokens_recycled = 0
-        self.messages_recycled = 0
 
     def attach_hooks(self, hooks: Optional[EventHooks]) -> None:
         """Install (or with ``None``, remove) the structured event sink."""
@@ -303,7 +253,8 @@ class Processor:
         The per-cycle sequence (advance to the next event cycle, deliver,
         tick tiles / fetch / commit, check progress) is written out inline:
         on serial kernels the loop body runs once per simulated cycle and
-        the call overhead of the phase helpers is measurable.
+        the call overhead of phase helpers is measurable.  The delivery
+        sweep and the tile walk exist only here.
         """
         config = self.config
         max_cycles = config.max_cycles
@@ -319,7 +270,6 @@ class Processor:
         active_tiles = self._active_tiles
         stats = self.stats
         op_latency = self._op_latency
-        latency_fn = self._node_latency
         hooks = self.hooks
         pop = heapq.heappop
         push = heapq.heappush
@@ -342,56 +292,21 @@ class Processor:
             # itself only runs when something is due.
             network.now = cycle
 
-            # --- Delivery sweep (fused copy of ``_deliver_messages``;
-            # keep the two in step).  Fusion hoists the per-call preamble
-            # out of the loop — measurably faster on token-dense kernels.
+            # --- Delivery sweep.  ``OperandNetwork.deliver_due`` inline,
+            # dispatching each entry as it pops instead of building a list
+            # first.  That is equivalent: handlers only ever *send*
+            # (arrivals land at ``now + 1`` or later, so they cannot join
+            # this sweep), handler order equals delivery order either way,
+            # and contention slips requeue at ``now + 1`` so pushing them
+            # mid-sweep cannot re-pop them.  Entries are flat tuples
+            # ``(code, dest, ...)``; see repro.uarch.specialize.
             if heap and heap[0][0] <= cycle:
                 if cycle != network._port_cycle:
                     port_use.clear()
                     network._port_cycle = cycle
                 while heap and heap[0][0] <= cycle:
                     arrive, seq, msg = pop(heap)
-                    if type(msg) is tuple:
-                        dest = msg[1]
-                        used = port_use.get(dest, 0)
-                        if used >= bandwidth:
-                            netstats.contention_slips += 1
-                            push(heap, (cycle + 1, seq, msg))
-                            continue
-                        port_use[dest] = used + 1
-                        netstats.delivered += 1
-                        netstats.total_latency += cycle - (arrive - 1)
-                        code = msg[0]
-                        if hooks is not None:
-                            hooks.on_deliver(cycle, FLAT_KIND_NAMES[code])
-                        if code == 0:             # instruction operand
-                            frame = frames_by_uid.get(msg[2])
-                            if frame is None:
-                                continue
-                            node = frame.nodes[msg[3]]
-                            buffer = node._buffer_list[msg[4]]
-                            node._sig_cache = None
-                            changed, finality = buffer.deposit4(
-                                msg[5], msg[6], msg[7], msg[8])
-                            if changed or finality:
-                                self._on_node_event(frame, node)
-                        elif code == 1:           # write slot
-                            frame = frames_by_uid.get(msg[2])
-                            if frame is not None:
-                                self._deposit_write_flat(
-                                    frame, msg[3], msg[4], msg[5], msg[6],
-                                    msg[7])
-                        elif code == 2:           # branch unit
-                            frame = frames_by_uid.get(msg[2])
-                            if frame is not None:
-                                self._deposit_branch_flat(
-                                    frame, msg[3], msg[4], msg[5], msg[6])
-                        elif code == 3:
-                            self._deliver_load_req(msg[2])
-                        else:
-                            self._deliver_store_upd(msg[2])
-                        continue
-                    dest = msg.dest
+                    dest = msg[1]
                     used = port_use.get(dest, 0)
                     if used >= bandwidth:
                         netstats.contention_slips += 1
@@ -400,28 +315,53 @@ class Processor:
                     port_use[dest] = used + 1
                     netstats.delivered += 1
                     netstats.total_latency += cycle - (arrive - 1)
-                    kind = msg.kind
+                    code = msg[0]
                     if hooks is not None:
-                        hooks.on_deliver(cycle, kind.name)
-                    if kind is _K_TOKEN:
-                        self._deliver_token(msg.payload)
-                        if self._recycle \
-                                and len(self._token_pool) < _SHELL_POOL_CAP:
-                            self._token_pool.append(msg.payload)
-                    elif kind is _K_LOAD_REQ:
-                        self._deliver_load_req(msg.payload)
-                    elif kind is _K_STORE_UPD:
-                        self._deliver_store_upd(msg.payload)
-                    elif kind is _K_LOAD_RESP:
-                        self._deliver_load_resp(msg.payload)
-                    else:
-                        self._deliver_reg_fwd(msg.payload)
-                    if self._recycle \
-                            and len(self._msg_pool) < _SHELL_POOL_CAP:
-                        self._msg_pool.append(msg)
+                        hooks.on_deliver(cycle, FLAT_KIND_NAMES[code])
+                    if code == 0:                 # instruction operand
+                        frame = frames_by_uid.get(msg[2])
+                        if frame is None:
+                            continue
+                        node = frame.nodes[msg[3]]
+                        buffer = node._buffer_list[msg[4]]
+                        node._sig_cache = None
+                        changed, finality = buffer.deposit4(
+                            msg[5], msg[6], msg[7], msg[8])
+                        if changed or finality:
+                            self._on_node_event(frame, node)
+                    elif code == 1:               # write slot
+                        frame = frames_by_uid.get(msg[2])
+                        if frame is not None:
+                            self._deposit_write(frame, msg[3], msg[4],
+                                                msg[5], msg[6], msg[7])
+                    elif code == 2:               # branch unit
+                        frame = frames_by_uid.get(msg[2])
+                        if frame is not None:
+                            self._deposit_branch(frame, msg[3], msg[4],
+                                                 msg[5], msg[6])
+                    elif code == 3:               # load request / null
+                        if msg[2] in frames_by_uid:
+                            if msg[4] is None:
+                                actions = lsq.load_null(msg[2], msg[3],
+                                                        msg[5], msg[6])
+                            else:
+                                actions = lsq.load_request(
+                                    msg[2], msg[3], msg[4], msg[5], msg[6])
+                            self._process_lsq_actions(actions)
+                    elif code == 4:               # store update
+                        if msg[2] in frames_by_uid:
+                            self._process_lsq_actions(lsq.store_update(
+                                msg[2], msg[3], msg[4], msg[5], msg[6],
+                                msg[7], null=msg[8], addr_final=msg[9]))
+                    elif code == 5:               # load response
+                        self._deliver_load_resp(msg)
+                    else:                         # register forward
+                        self._deliver_reg_fwd(msg)
 
-            # --- Tile walk (fused copy of ``_tick_tiles``; keep the two
-            # in step).
+            # --- Tile walk.  ``ExecTile.pop_completed`` / ``issue_ready``
+            # inline (same pop order, same bookkeeping).  Snapshot, sorted
+            # to keep the tile order: handlers below may activate further
+            # tiles mid-walk, and those wait for the next cycle.
             if active_tiles and self._tiles_due <= cycle:
                 drained = None
                 for index in sorted(active_tiles):
@@ -430,6 +370,9 @@ class Processor:
                     while executing and executing[0][0] <= cycle:
                         entry = pop(executing)
                         node = entry[2]
+                        # Life guard first: a recycled node's new uid is
+                        # live, so only the generation tag identifies its
+                        # previous life's leftover entries.
                         if entry[3] != node.life:
                             continue
                         frame = frames_by_uid.get(node.frame_uid)
@@ -453,11 +396,16 @@ class Processor:
                             node = entry[3]
                             life = entry[4]
                             if life != node.life:
+                                # Stale entry of a recycled node; the
+                                # current life's dedup membership must
+                                # survive it.
                                 continue
                             if queued.get(node) == life:
                                 del queued[node]
                             if node.frame_uid not in frames_by_uid:
                                 continue
+                            # Inline ``can_issue`` + ``_begin_issued``
+                            # (one signature for the check and the issue).
                             if node.state is not NodeState.IDLE:
                                 continue
                             for b in node._buffer_list:
@@ -472,13 +420,10 @@ class Processor:
                                 node.issued_signature = sig
                                 node.exec_count += 1
                                 stats.fu_work_issued += 1
-                                latency = op_latency.get(id(node.inst))
-                                if latency is None:
-                                    latency = latency_fn(node)
                                 tile._push_seq += 1
                                 push(executing,
-                                     (cycle + latency, tile._push_seq, node,
-                                      life))
+                                     (cycle + op_latency[id(node.inst)],
+                                      tile._push_seq, node, life))
                                 issued += 1
                                 if hooks is not None:
                                     hooks.on_issue(cycle, node.frame_uid,
@@ -491,6 +436,8 @@ class Processor:
                         else:
                             drained.append(index)
                 if drained is not None:
+                    # Re-check: a later tile's handler may have
+                    # re-activated a drained tile.
                     for index in drained:
                         tile = tiles[index]
                         if not (tile._ready or tile._executing):
@@ -545,7 +492,7 @@ class Processor:
                 if best is None or completion < best:
                     best = completion
         # No ready entries anywhere: the tile walk next does work at the
-        # earliest FU completion.  ``run`` skips ``_tick_tiles`` until
+        # earliest FU completion.  ``run`` skips the tile walk until
         # then; any mid-cycle enqueue pulls the due cycle back to "now"
         # (see ``_enqueue``).
         self._tiles_due = best if best is not None else _NEVER
@@ -571,316 +518,58 @@ class Processor:
         return format_snapshot(machine_snapshot(self))
 
     # ==================================================================
-    # Message delivery
+    # Delivery handlers (LSQ responses and register forwards)
     # ==================================================================
 
-    def _deliver_messages(self) -> None:
-        """Pop and handle this cycle's arrivals.
-
-        This replicates ``OperandNetwork.deliver_due`` inline, dispatching
-        each message as it pops instead of building a list first.  That is
-        equivalent: handlers only ever *send* (arrivals land at
-        ``now + 1`` or later, so they cannot join this sweep), handler
-        execution order equals delivery order either way, and requeued
-        contention slips target ``now + 1`` so pushing them mid-sweep
-        cannot re-pop them.
-
-        ``run`` carries a fused copy of this sweep (hot path); this method
-        is the standalone equivalent for external cycle drivers — any
-        change here must be mirrored there.
-        """
-        # ``run`` only calls in when the heap head is due, so that is not
-        # rechecked here.  Message-shell state (pools, kind singletons) is
-        # deliberately *not* bound up front: specialized runs deliver flat
-        # tuples almost exclusively, and the shell path pays its own
-        # lookups instead.
-        now = self.cycle
-        network = self.network
-        network.now = now
-        heap = network._heap
-        if now != network._port_cycle:
-            network._port_use.clear()
-            network._port_cycle = now
-        stats = network.stats
-        bandwidth = self.config.port_bandwidth
-        port_use = network._port_use
-        hooks = self.hooks
-        pop = heapq.heappop
-        push = heapq.heappush
-        frames_by_uid = self.frames_by_uid
-        while heap and heap[0][0] <= now:
-            arrive, seq, msg = pop(heap)
-            if type(msg) is tuple:
-                # Specialized flat entry (repro.uarch.specialize): the
-                # payload carries pre-resolved coordinates and buffer
-                # positions, so delivery is positional decode + deposit —
-                # port accounting, stats and requeue semantics are
-                # exactly the Message path's.
-                dest = msg[1]
-                used = port_use.get(dest, 0)
-                if used >= bandwidth:
-                    stats.contention_slips += 1
-                    push(heap, (now + 1, seq, msg))
-                    continue
-                port_use[dest] = used + 1
-                stats.delivered += 1
-                stats.total_latency += now - (arrive - 1)
-                code = msg[0]
-                if hooks is not None:
-                    hooks.on_deliver(now, FLAT_KIND_NAMES[code])
-                if code == 0:                     # instruction operand
-                    frame = frames_by_uid.get(msg[2])
-                    if frame is None:
-                        continue
-                    node = frame.nodes[msg[3]]
-                    buffer = node._buffer_list[msg[4]]
-                    node._sig_cache = None
-                    changed, finality = buffer.deposit4(
-                        msg[5], msg[6], msg[7], msg[8])
-                    if changed or finality:
-                        self._on_node_event(frame, node)
-                elif code == 1:                   # write slot
-                    frame = frames_by_uid.get(msg[2])
-                    if frame is not None:
-                        self._deposit_write_flat(
-                            frame, msg[3], msg[4], msg[5], msg[6], msg[7])
-                elif code == 2:                   # branch unit
-                    frame = frames_by_uid.get(msg[2])
-                    if frame is not None:
-                        self._deposit_branch_flat(
-                            frame, msg[3], msg[4], msg[5], msg[6])
-                elif code == 3:
-                    self._deliver_load_req(msg[2])
-                else:
-                    self._deliver_store_upd(msg[2])
-                continue
-            dest = msg.dest
-            used = port_use.get(dest, 0)
-            if used >= bandwidth:
-                stats.contention_slips += 1
-                # Requeued shells stay live — only dispatched ones free.
-                push(heap, (now + 1, seq, msg))
-                continue
-            port_use[dest] = used + 1
-            stats.delivered += 1
-            stats.total_latency += now - (arrive - 1)
-            kind = msg.kind
-            if hooks is not None:
-                hooks.on_deliver(now, kind.name)
-            if kind is _K_TOKEN:
-                self._deliver_token(msg.payload)
-                # Handlers copy token fields out (TokenBuffer.deposit
-                # retains scalars, never the Token), so after dispatch
-                # both shells are free for reuse by ``_send_tokens``.
-                if self._recycle and len(self._token_pool) < _SHELL_POOL_CAP:
-                    self._token_pool.append(msg.payload)
-            elif kind is _K_LOAD_REQ:
-                self._deliver_load_req(msg.payload)
-            elif kind is _K_STORE_UPD:
-                self._deliver_store_upd(msg.payload)
-            elif kind is _K_LOAD_RESP:
-                self._deliver_load_resp(msg.payload)
-            else:
-                self._deliver_reg_fwd(msg.payload)
-            if self._recycle and len(self._msg_pool) < _SHELL_POOL_CAP:
-                self._msg_pool.append(msg)
-
-    def _deliver_token(self, token: Token) -> None:
-        frame = self.frames_by_uid.get(token.frame_uid)
+    def _deliver_load_resp(self, msg) -> None:
+        _, _, uid, index, value, final, is_redelivery = msg
+        frame = self.frames_by_uid.get(uid)
         if frame is None:
             return
-        kind = token.dest[0]
-        if kind == "inst":
-            # Inline ``InstructionNode.deposit`` (slot lookup + signature
-            # cache clear): one call per operand token adds up.
-            node = frame.nodes[token.dest[1]]
-            slot = token.dest[2]
-            buffer = (node._buf_by_val.get(slot._value_)
-                      if slot is not None else None)
-            if buffer is None:
-                raise SimulationError(f"token to unmapped slot: {token}")
-            node._sig_cache = None
-            effective_changed, finality_changed = buffer.deposit(token)
-            if effective_changed or finality_changed:
-                self._on_node_event(frame, node)
-        elif kind == "write":
-            self._deposit_write(frame, token)
-        else:  # branch
-            self._deposit_branch(frame, token)
-
-    def _deliver_load_req(self, payload) -> None:
-        if isinstance(payload, _NullLoadMarker):
-            inner = payload.payload
-            if inner.frame_uid not in self.frames_by_uid:
-                return
-            self._process_lsq_actions(self.lsq.load_null(
-                inner.frame_uid, inner.lsid, inner.wave, inner.final))
-            return
-        if payload.frame_uid not in self.frames_by_uid:
-            return
-        actions = self.lsq.load_request(payload.frame_uid, payload.lsid,
-                                        payload.addr, payload.wave,
-                                        payload.final)
-        self._process_lsq_actions(actions)
-
-    def _deliver_store_upd(self, payload: StoreUpdPayload) -> None:
-        if payload.frame_uid not in self.frames_by_uid:
-            return
-        actions = self.lsq.store_update(
-            payload.frame_uid, payload.lsid, payload.addr, payload.value,
-            payload.wave, payload.final, null=payload.null,
-            addr_final=payload.addr_final)
-        self._process_lsq_actions(actions)
-
-    def _deliver_load_resp(self, payload: LoadRespPayload) -> None:
-        frame = self.frames_by_uid.get(payload.frame_uid)
-        if frame is None:
-            return
-        node = frame.nodes[payload.inst_index]
-        if payload.is_redelivery:
+        node = frame.nodes[index]
+        if is_redelivery:
             self.stats.load_redeliveries += 1
             self.stats.dependence_mispeculations += 1
             hooks = self.hooks
             if hooks is not None:
-                hooks.on_redeliver(self.cycle, frame.uid, node.index,
-                                   payload.value, payload.final)
-        emission = node.plan_emission(payload.value, payload.final)
+                hooks.on_redeliver(self.cycle, uid, index, value, final)
+        emission = node.plan_emission(value, final)
         if emission is not None:
             wave, value, final = emission
-            plan = frame.plan
-            if plan is not None:
-                self._send_tokens_flat(frame.uid, plan.sends[node.index],
-                                       node._producer_key, wave, value,
-                                       final)
-            else:
-                self._send_tokens(frame, node.index, node.inst.targets,
-                                  node._producer_key, wave, value, final)
+            self._fan_out(uid, frame.plan.sends[index], node._producer_key,
+                          wave, value, final)
 
-    def _deliver_reg_fwd(self, payload: RegFwdPayload) -> None:
-        frame = self.frames_by_uid.get(payload.frame_uid)
+    def _deliver_reg_fwd(self, msg) -> None:
+        _, _, uid, ri, value, wave, final = msg
+        frame = self.frames_by_uid.get(uid)
         if frame is None:
             return
-        ri = payload.read_index
         fwd = frame.read_forwards[ri]
-        if payload.wave < fwd.wave:
+        if wave < fwd.wave:
             return
-        if payload.wave == fwd.wave and payload.value == fwd.value:
-            if fwd.final or not payload.final:
+        if wave == fwd.wave and value == fwd.value:
+            if fwd.final or not final:
                 return
             fwd.final = True        # pure finality upgrade
         else:
-            fwd.wave, fwd.value, fwd.final = (
-                payload.wave, payload.value, payload.final)
+            fwd.wave, fwd.value, fwd.final = wave, value, final
         plan = frame.plan
-        if plan is not None:
-            self._send_tokens_flat(frame.uid, plan.reads[ri],
-                                   plan.read_keys[ri], payload.wave,
-                                   payload.value, payload.final)
-        else:
-            read = frame.block.reads[ri]
-            self._send_tokens(frame, None, read.targets, ("read", ri),
-                              payload.wave, payload.value, payload.final)
+        self._fan_out(uid, plan.reads[ri], plan.read_keys[ri], wave, value,
+                      final)
 
     # ==================================================================
-    # Token plumbing
+    # Sends
     # ==================================================================
 
-    def _coord_of_target(self, target: Target):
-        if target.kind is TargetKind.WRITE:
-            return self._control_coord
-        return self._inst_coord[target.index]
-
-    def _src_coord(self, inst_index: Optional[int]):
-        if inst_index is None:
-            return self._control_coord
-        return self._inst_coord[inst_index]
-
-    def _target_plan(self, targets) -> Tuple:
-        """(dest_key, coord) pairs for a static target list.
-
-        Target lists are static per program block, so the plan is computed
-        once per list; the key is the list's identity, which is stable
-        because the program (and its blocks) outlives the processor.
-        """
-        plan = self._target_plans.get(id(targets))
-        if plan is None:
-            plan = tuple(
-                (write_dest(t.index), self._control_coord)
-                if t.kind is TargetKind.WRITE
-                else (inst_dest(t.index, t.slot), self._inst_coord[t.index])
-                for t in targets)
-            self._target_plans[id(targets)] = plan
-        return plan
-
-    def _send_tokens(self, frame: Frame, src_index: Optional[int],
-                     targets, producer, wave: int, value, final: bool
-                     ) -> None:
-        # Inline ``OperandNetwork.send`` (route-cache lookup, stats, heap
-        # push): token fan-out is the single most frequent network call.
-        src = self._src_coord(src_index)
-        uid = frame.uid
-        network = self.network
-        stats = network.stats
-        plan = self._target_plan(targets)
-        n = len(plan)
-        if value is None:
-            stats.null_sent += n
-        stats.sent += n
-        if final:
-            stats.final_sent += n
-        if wave > 1:
-            self.stats.wave_operand_sends += n
-        heap = network._heap
-        route_cache = network._route_cache
-        route_latency = network.config.route_latency
-        now = network.now
-        seq = network._seq
-        push = heapq.heappush
-        token_kind = MsgKind.TOKEN
-        token_pool = self._token_pool
-        msg_pool = self._msg_pool
-        for dest_key, coord in plan:
-            routed = route_cache.get((src, coord))
-            if routed is None:
-                routed = route_latency(src, coord)
-                route_cache[(src, coord)] = routed
-            seq += 1
-            # Shell reuse: Token/Message objects freed by the delivery
-            # sweep are refilled field-by-field — cheaper than the
-            # dataclass constructors on the hottest allocation site.
-            if token_pool:
-                token = token_pool.pop()
-                token.frame_uid = uid
-                token.dest = dest_key
-                token.producer = producer
-                token.wave = wave
-                token.value = value
-                token.final = final
-                self.tokens_recycled += 1
-            else:
-                token = Token(uid, dest_key, producer, wave, value, final)
-            if msg_pool:
-                msg = msg_pool.pop()
-                msg.kind = token_kind
-                msg.dest = coord
-                msg.payload = token
-                msg.final = final
-                self.messages_recycled += 1
-            else:
-                msg = Message(token_kind, coord, token, final)
-            push(heap, (now + (routed if routed > 1 else 1), seq, msg))
-        network._seq = seq
-
-    def _send_tokens_flat(self, uid: int, entries, producer, wave: int,
-                          value, final: bool) -> None:
-        """Specialized token fan-out: push flat tuples from a plan.
+    def _fan_out(self, uid: int, entries, producer, wave: int, value,
+                 final: bool) -> None:
+        """Token fan-out: push one flat entry per static target.
 
         ``entries`` is one instruction's (or read slot's) precompiled send
         list — coordinates, buffer positions and routed-latency deltas all
         resolved at plan compile time — so the loop is pure heap pushes.
-        Arrival cycles (``now + max(1, routed)``, baked into each entry's
-        delta) and the shared ``_seq`` counter keep ordering identical to
-        the interpreted ``_send_tokens``.
+        Arrival is ``now + max(1, routed)`` (baked into each entry's
+        delta); every push takes the network's next shared ``_seq``.
         """
         network = self.network
         stats = network.stats
@@ -908,34 +597,8 @@ class Processor:
                              wave, value, final)))
         network._seq = seq
 
-    def _send_branch_token(self, frame: Frame, node: InstructionNode,
-                           wave: int, value, final: bool) -> None:
-        if wave > 1:
-            self.stats.wave_operand_sends += 1
-        plan = frame.plan
-        if plan is not None:
-            network = self.network
-            stats = network.stats
-            stats.sent += 1
-            if final:
-                stats.final_sent += 1
-            seq = network._seq + 1
-            network._seq = seq
-            heapq.heappush(
-                network._heap,
-                (network.now + plan.branch_deltas[node.index], seq,
-                 (2, self._control_coord, frame.uid, node._producer_key,
-                  wave, value, final)))
-            return
-        token = Token(frame.uid, BRANCH_DEST, node._producer_key,
-                      wave, value, final)
-        self.network.send(self._src_coord(node.index),
-                          Message(MsgKind.TOKEN, self._control_coord,
-                                  token, final))
-
-    def _send_lsq_flat(self, code: int, delta: int, payload,
-                       final: bool) -> None:
-        """Specialized LSQ injection (LOAD_REQ / STORE_UPD flat entries)."""
+    def _push(self, delay: int, entry: tuple, final: bool) -> None:
+        """Inject one flat entry arriving ``delay`` (>= 1) cycles from now."""
         network = self.network
         stats = network.stats
         stats.sent += 1
@@ -943,9 +606,31 @@ class Processor:
             stats.final_sent += 1
         seq = network._seq + 1
         network._seq = seq
-        heapq.heappush(network._heap,
-                       (network.now + delta, seq,
-                        (code, self._lsq_coord, payload)))
+        heapq.heappush(network._heap, (network.now + delay, seq, entry))
+
+    def _send_branch_token(self, frame: Frame, node: InstructionNode,
+                           wave: int, value, final: bool) -> None:
+        if wave > 1:
+            self.stats.wave_operand_sends += 1
+        self._push(frame.plan.branch_deltas[node.index],
+                   (2, self._control_coord, frame.uid, node._producer_key,
+                    wave, value, final), final)
+
+    def _send_load_resp(self, uid: int, index: int, value: int,
+                        final: bool, is_redelivery: bool,
+                        extra_latency: int) -> None:
+        # The LSQ's access latency rides on top of the routed hops, and
+        # the sum — not the route alone — is clamped to one cycle.
+        delay = self._resp_route[self._inst_tile[index]] + extra_latency
+        self._push(delay if delay > 1 else 1,
+                   (5, self._inst_coord[index], uid, index, value, final,
+                    is_redelivery), final)
+
+    def _send_reg_fwd(self, uid: int, ri: int, value: int, wave: int,
+                      final: bool) -> None:
+        self._push(self._fwd_delta,
+                   (6, self._control_coord, uid, ri, value, wave, final),
+                   final)
 
     # ==================================================================
     # Node lifecycle
@@ -1002,112 +687,6 @@ class Processor:
                                  node.last_outcome.store_value,
                                  null=False, final=False, addr_final=True)
 
-    def _tick_tiles(self) -> None:
-        # The per-tile completion pop and issue loop replicate
-        # ``ExecTile.pop_completed`` / ``ExecTile.issue_ready`` inline
-        # (same pop order, same bookkeeping) to avoid call and list
-        # overhead on the two hottest loops in the simulator.
-        # ``run`` carries a fused copy of this walk (hot path); this
-        # method is the standalone equivalent for external cycle drivers —
-        # any change here must be mirrored there.
-        now = self.cycle
-        frames_by_uid = self.frames_by_uid
-        stats = self.stats
-        op_latency = self._op_latency
-        latency_fn = self._node_latency
-        hooks = self.hooks
-        pop = heapq.heappop
-        push = heapq.heappush
-        # Snapshot (sorted, to keep the original tile walk order): message
-        # handlers below may activate further tiles mid-walk, and those —
-        # exactly as in the poll-every-tile loop — wait for the next cycle.
-        drained = []
-        for index in sorted(self._active_tiles):
-            tile = self.tiles[index]
-            executing = tile._executing
-            while executing and executing[0][0] <= now:
-                entry = pop(executing)
-                node = entry[2]
-                # Life guard first: a recycled node's new uid is live, so
-                # only the generation tag identifies its previous life's
-                # leftover entries.
-                if entry[3] != node.life:
-                    continue
-                frame = frames_by_uid.get(node.frame_uid)
-                if frame is None:
-                    continue
-                outcome = node.complete_execution()
-                stats.executions += 1
-                if node.exec_count > 1:
-                    stats.reexecutions += 1
-                final = node.output_final_ready()
-                self._emit_node_output(frame, node, outcome, final)
-                if node.needs_reissue():
-                    self._enqueue(frame, node)
-            ready = tile._ready
-            if ready:
-                queued = tile._queued
-                width = tile.issue_width
-                issued = 0
-                while ready and issued < width:
-                    entry = pop(ready)
-                    node = entry[3]
-                    life = entry[4]
-                    if life != node.life:
-                        # Stale entry of a recycled node; the current
-                        # life's dedup membership must survive it.
-                        continue
-                    if queued.get(node) == life:
-                        del queued[node]
-                    if node.frame_uid not in frames_by_uid:
-                        continue
-                    # Inline ``can_issue`` + ``_begin_issued`` (computing
-                    # the signature once for both the check and the issue).
-                    if node.state is not NodeState.IDLE:
-                        continue
-                    for b in node._buffer_list:
-                        if b._effective.status is SlotStatus.EMPTY:
-                            break
-                    else:
-                        sig = node.current_signature()
-                        if node.exec_count != 0 \
-                                and sig == node.issued_signature:
-                            continue
-                        node.state = NodeState.EXECUTING
-                        node.issued_signature = sig
-                        node.exec_count += 1
-                        stats.fu_work_issued += 1
-                        latency = op_latency.get(id(node.inst))
-                        if latency is None:
-                            latency = latency_fn(node)
-                        tile._push_seq += 1
-                        push(executing,
-                             (now + latency, tile._push_seq, node, life))
-                        issued += 1
-                        if hooks is not None:
-                            hooks.on_issue(now, node.frame_uid, node.index,
-                                           node.inst.opcode.value,
-                                           node.exec_count)
-            if not (ready or executing):
-                drained.append(index)
-        for index in drained:
-            # Re-check: a later tile's handler may have re-activated it.
-            tile = self.tiles[index]
-            if not (tile._ready or tile._executing):
-                self._active_tiles.discard(index)
-
-    def _node_latency(self, node: InstructionNode) -> int:
-        # Keyed by instruction identity (pinned for the program's lifetime)
-        # rather than opcode: enum hashing is a Python-level call and this
-        # is the hottest lookup in the issue path.
-        inst = node.inst
-        latency = self._op_latency.get(id(inst))
-        if latency is None:
-            from ..isa.opcodes import op_info
-            latency = self.config.fu_latencies[op_info(inst.opcode).op_class]
-            self._op_latency[id(inst)] = latency
-        return latency
-
     def _emit_node_output(self, frame: Frame, node: InstructionNode,
                           outcome: Optional[Outcome], final: bool) -> None:
         """Route one execution's outcome (or a finality upgrade) outward."""
@@ -1118,14 +697,8 @@ class Processor:
             emission = node.plan_emission(outcome.value, final)
             if emission is not None:
                 wave, value, fin = emission
-                plan = frame.plan
-                if plan is not None:
-                    self._send_tokens_flat(frame.uid, plan.sends[node.index],
-                                           node._producer_key, wave, value,
-                                           fin)
-                else:
-                    self._send_tokens(frame, node.index, inst.targets,
-                                      node._producer_key, wave, value, fin)
+                self._fan_out(frame.uid, frame.plan.sends[node.index],
+                              node._producer_key, wave, value, fin)
         elif outcome.kind is OutcomeKind.BRANCH:
             emission = node.plan_emission(outcome.value, final)
             if emission is not None:
@@ -1150,14 +723,8 @@ class Processor:
                 emission = node.plan_emission(None, final)
                 if emission is not None:
                     wave, value, fin = emission
-                    plan = frame.plan
-                    if plan is not None:
-                        self._send_tokens_flat(
-                            frame.uid, plan.sends[node.index],
-                            node._producer_key, wave, None, fin)
-                    else:
-                        self._send_tokens(frame, node.index, inst.targets,
-                                          node._producer_key, wave, None, fin)
+                    self._fan_out(frame.uid, frame.plan.sends[node.index],
+                                  node._producer_key, wave, None, fin)
                 if inst.is_load:
                     self._send_load_null(frame, node, final)
 
@@ -1167,16 +734,9 @@ class Processor:
         if node.last_lsq == key:
             return
         node.last_lsq = key
-        payload = LoadReqPayload(frame.uid, node.inst.lsid, addr,
-                                 node.exec_count, final)
-        plan = frame.plan
-        if plan is not None:
-            self._send_lsq_flat(3, plan.lsq_deltas[node.index], payload,
-                                final)
-        else:
-            self.network.send(self._src_coord(node.index),
-                              Message(MsgKind.LOAD_REQ, self._lsq_coord,
-                                      payload, final))
+        self._push(frame.plan.lsq_deltas[node.index],
+                   (3, self._lsq_coord, frame.uid, node.inst.lsid, addr,
+                    node.exec_count, final), final)
 
     def _send_store_upd(self, frame: Frame, node: InstructionNode,
                         addr: Optional[int], value: Optional[int],
@@ -1186,17 +746,10 @@ class Processor:
         if node.last_lsq == key:
             return
         node.last_lsq = key
-        payload = StoreUpdPayload(frame.uid, node.inst.lsid, addr, value,
-                                  node.exec_count, final, null,
-                                  addr_final or final)
-        plan = frame.plan
-        if plan is not None:
-            self._send_lsq_flat(4, plan.lsq_deltas[node.index], payload,
-                                final)
-        else:
-            self.network.send(self._src_coord(node.index),
-                              Message(MsgKind.STORE_UPD, self._lsq_coord,
-                                      payload, final))
+        self._push(frame.plan.lsq_deltas[node.index],
+                   (4, self._lsq_coord, frame.uid, node.inst.lsid, addr,
+                    value, node.exec_count, final, null,
+                    addr_final or final), final)
 
     def _send_load_null(self, frame: Frame, node: InstructionNode,
                         final: bool) -> None:
@@ -1204,29 +757,18 @@ class Processor:
         if node.last_lsq == key:
             return
         node.last_lsq = key
-        payload = StoreUpdPayload(frame.uid, node.inst.lsid, None, None,
-                                  node.exec_count, final, True)
-        # Null loads share the store-update channel: the LSQ only needs the
-        # (lsid, wave, final) bookkeeping.
-        plan = frame.plan
-        if plan is not None:
-            self._send_lsq_flat(3, plan.lsq_deltas[node.index],
-                                _NullLoadMarker(payload), final)
-        else:
-            self.network.send(self._src_coord(node.index),
-                              Message(MsgKind.LOAD_REQ, self._lsq_coord,
-                                      _NullLoadMarker(payload), final))
+        # A null-load notice is a load request without an address: the
+        # LSQ only needs the (lsid, wave, final) bookkeeping.
+        self._push(frame.plan.lsq_deltas[node.index],
+                   (3, self._lsq_coord, frame.uid, node.inst.lsid, None,
+                    node.exec_count, final), final)
 
     # ==================================================================
     # Write-slot and branch-unit handling
     # ==================================================================
 
-    def _deposit_write(self, frame: Frame, token: Token) -> None:
-        self._deposit_write_flat(frame, token.dest[1], token.producer,
-                                 token.wave, token.value, token.final)
-
-    def _deposit_write_flat(self, frame: Frame, wi: int, producer,
-                            wave: int, value, final: bool) -> None:
+    def _deposit_write(self, frame: Frame, wi: int, producer, wave: int,
+                       value, final: bool) -> None:
         buffer = frame.write_buffers[wi]
         changed, finality = buffer.deposit4(producer, wave, value, final)
         if not (changed or finality):
@@ -1244,19 +786,11 @@ class Processor:
         for sub_uid, read_idx in frame.subscribers[wi]:
             if sub_uid not in self.frames_by_uid:
                 continue
-            payload = RegFwdPayload(sub_uid, read_idx, state[0],
-                                    frame.write_fwd_wave[wi], state[1])
-            self.network.send(self._control_coord,
-                              Message(MsgKind.REG_FWD,
-                                      self._control_coord,
-                                      payload, state[1]))
+            self._send_reg_fwd(sub_uid, read_idx, state[0],
+                               frame.write_fwd_wave[wi], state[1])
 
-    def _deposit_branch(self, frame: Frame, token: Token) -> None:
-        self._deposit_branch_flat(frame, token.producer, token.wave,
-                                  token.value, token.final)
-
-    def _deposit_branch_flat(self, frame: Frame, producer, wave: int,
-                             value, final: bool) -> None:
+    def _deposit_branch(self, frame: Frame, producer, wave: int, value,
+                        final: bool) -> None:
         changed, finality = frame.branch_buffer.deposit4(
             producer, wave, value, final)
         if not (changed or finality):
@@ -1293,27 +827,16 @@ class Processor:
                 if frame is None:
                     continue
                 node = frame.node_of_lsid(action.entry.lsid)
-                payload = LoadRespPayload(frame.uid, node.index,
-                                          action.value, action.final,
-                                          action.is_redelivery)
-                self.network.send(
-                    self._lsq_coord,
-                    Message(MsgKind.LOAD_RESP,
-                            self._src_coord(node.index), payload,
-                            action.final),
-                    extra_latency=action.latency)
+                self._send_load_resp(frame.uid, node.index, action.value,
+                                     action.final, action.is_redelivery,
+                                     action.latency)
             elif isinstance(action, Confirmed):
                 frame = self.frames_by_uid.get(action.entry.frame_uid)
                 if frame is None:
                     continue
                 node = frame.node_of_lsid(action.entry.lsid)
-                payload = LoadRespPayload(frame.uid, node.index,
-                                          action.value, True, False)
-                self.network.send(
-                    self._lsq_coord,
-                    Message(MsgKind.LOAD_RESP,
-                            self._src_coord(node.index), payload, True),
-                    extra_latency=action.latency)
+                self._send_load_resp(frame.uid, node.index, action.value,
+                                     True, False, action.latency)
             elif isinstance(action, Violation):
                 self.protocol.handle_violation(action)
             else:
@@ -1365,19 +888,13 @@ class Processor:
             frame = Frame(uid, seq, block, self.config)
             self.frames_allocated += 1
         frame.mapped_cycle = self.cycle
-        # Attach the block's specialized plan (or None — interpreted
-        # fallback).  Reassigned on every map: a recycled frame may have
-        # been parked by a processor at a different machine point.
-        if self._specialize:
-            plan = self._block_plans.get(name, _MISSING)
-            if plan is _MISSING:
-                plan = self._fetch_plan(block)
-            if plan is not None:
-                self.stats.specialize_hits += 1
-            else:
-                self.stats.specialize_declined += 1
-        else:
-            plan = None
+        # Attach the block's plan.  Reassigned on every map: a recycled
+        # frame may have been parked by a processor at a different
+        # machine point.
+        plan = self._block_plans.get(name)
+        if plan is None:
+            plan = self._fetch_plan(block)
+        self.stats.specialize_hits += 1
         frame.plan = plan
         if self.frames:
             self.frames[-1].fetched_next = name
@@ -1406,23 +923,21 @@ class Processor:
         # successor, _resolve_branch will redirect when their token arrives;
         # nothing else to do here.
 
-    def _fetch_plan(self, block):
+    def _fetch_plan(self, block) -> BlockPlan:
         """First map of a block in this run: consult the code cache.
 
-        The plan (or a cached decline) comes from the per-block LRU.  The
-        miss counts the *cold resolution* — this processor's first
-        activation of the block — not the compile itself: the shared
-        block-level cache may already hold the plan from an earlier run,
-        and charging only actual compiles would make identical runs
-        report different stats (breaking recycled-equals-fresh and
-        paired-digest checks).  Per-instruction FU latencies from the
-        plan seed ``_op_latency`` so the issue loop's latency lookup hits
-        for every specialized block.
+        The plan comes from the per-block LRU.  The miss counts the *cold
+        resolution* — this processor's first activation of the block —
+        not the compile itself: the shared block-level cache may already
+        hold the plan from an earlier run, and charging only actual
+        compiles would make identical runs report different stats
+        (breaking recycled-equals-fresh and pinned-counter checks).
+        Per-instruction FU latencies from the plan seed ``_op_latency``,
+        which is all the tile walk's issue loop consults.
         """
         self.stats.specialize_misses += 1
         plan, _compiled = plan_for(block, self._spec_key, self.config)
-        if plan is not None:
-            self._op_latency.update(plan.latency_by_id)
+        self._op_latency.update(plan.latency_by_id)
         self._block_plans[block.name] = plan
         return plan
 
@@ -1442,25 +957,16 @@ class Processor:
                 fwd = frame.read_forwards[ri]
                 fwd.wave, fwd.value, fwd.final = (
                     1, self.arch.get_reg(read.reg), True)
-                if plan is not None:
-                    self._send_tokens_flat(frame.uid, plan.reads[ri],
-                                           plan.read_keys[ri], 1,
-                                           fwd.value, True)
-                else:
-                    self._send_tokens(frame, None, read.targets,
-                                      ("read", ri), 1, fwd.value, True)
+                self._fan_out(frame.uid, plan.reads[ri], plan.read_keys[ri],
+                              1, fwd.value, True)
             else:
                 older, wi = source
                 older.subscribers[wi].append((frame.uid, ri))
                 forwarded = older.write_forwarded[wi]
                 if forwarded is not None:
-                    payload = RegFwdPayload(frame.uid, ri, forwarded[0],
-                                            older.write_fwd_wave[wi],
-                                            forwarded[1])
-                    self.network.send(self._control_coord,
-                                      Message(MsgKind.REG_FWD,
-                                              self._control_coord,
-                                              payload, forwarded[1]))
+                    self._send_reg_fwd(frame.uid, ri, forwarded[0],
+                                       older.write_fwd_wave[wi],
+                                       forwarded[1])
 
     def _retire_frame(self, frame: Frame) -> None:
         """Park a dead (committed or squashed) frame in the block arena.
@@ -1604,10 +1110,3 @@ class Processor:
             raise GoldenMismatchError(
                 f"commit {head.seq} ({head.block.name}): "
                 + "; ".join(problems))
-
-
-class _NullLoadMarker:
-    """Wrapper distinguishing a null-load notice on the LOAD_REQ channel."""
-
-    def __init__(self, payload: StoreUpdPayload):
-        self.payload = payload

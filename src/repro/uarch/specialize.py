@@ -1,22 +1,21 @@
-"""Block-specialized activation plans: the per-block code cache.
+"""Block activation plans: the per-block code cache the processor runs.
 
 EDGE blocks are immutable and block-atomic, so everything about how a
 block's instructions talk to the fabric — which coordinate each target
 lives at, the routed latency of every edge, which buffer position a token
 lands in, the FU latency of every static instruction — is fixed per
-(block, machine point).  The interpreter in :mod:`repro.uarch.processor`
-re-derives all of it token by token; this module compiles it once into a
+(block, machine point).  This module compiles it once into a
 :class:`BlockPlan` and caches the plan on the block object, next to the
 frame template (``block._frame_template``), in a bounded LRU keyed by the
-:func:`machine_point_key` of the running config.
+:func:`machine_point_key` of the running config.  Every block the
+processor maps executes from its plan; there is no other path.
 
-With a plan in hand the processor sends *flat tuples* through the operand
-network instead of ``Token``-in-``Message`` shells, and delivery decodes
-them positionally — no dataclass construction, no enum dispatch, no
-route-cache probes on the hot path.  The flat entries are:
+The processor sends *flat tuples* through the operand network, and the
+delivery sweep in ``Processor.run`` decodes them positionally.  After the
+heap's ``(arrive, seq, ...)`` ordering, an entry is:
 
 ====  =========================================================
-code  heap payload (after the ``(arrive, seq, ...)`` ordering)
+code  entry
 ====  =========================================================
 ``0`` ``(0, coord, frame_uid, node_idx, buf_pos, producer, wave,
       value, final)`` — instruction operand token
@@ -24,17 +23,23 @@ code  heap payload (after the ``(arrive, seq, ...)`` ordering)
       final)`` — register write-slot token
 ``2`` ``(2, coord, frame_uid, producer, wave, value, final)`` —
       branch-unit token
-``3`` ``(3, coord, payload)`` — LOAD_REQ (or null-load marker)
-``4`` ``(4, coord, payload)`` — STORE_UPD
+``3`` ``(3, coord, frame_uid, lsid, addr, wave, final)`` — load
+      request; ``addr`` is ``None`` for a null-load notice
+``4`` ``(4, coord, frame_uid, lsid, addr, value, wave, final, null,
+      addr_final)`` — store update
+``5`` ``(5, coord, frame_uid, node_idx, value, final,
+      is_redelivery)`` — LSQ load response (or confirmation)
+``6`` ``(6, coord, frame_uid, read_idx, value, wave, final)`` —
+      cross-frame register forward
 ====  =========================================================
 
-Plans are **immutable after compilation** and **exactly behavior
-preserving**: arrival cycles use the same ``now + max(1, routed)`` rule,
-the network's shared ``_seq`` counter keeps delivery order identical, and
-every stats counter is bumped exactly as the interpreted path would.  A
-block shape the compiler cannot prove out (an instruction target without a
-mapped slot, an unknown target kind) is *declined* — cached as ``None`` —
-and every activation of that block falls back to the interpreted path.
+Plans are **immutable after compilation**.  Arrival cycles follow the
+mesh rule ``now + max(1, routed)`` (``max(1, routed + access latency)``
+for load responses), and every send takes the network's shared ``_seq``,
+so delivery order is fixed by the send order alone.  Compilation cannot
+fail on a validated program: ``Block`` validation rejects the only shapes
+a plan could not route (an instruction target without a mapped slot, or
+out of range), and ``Processor`` validates the program it runs.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..isa.opcodes import op_info
 from ..isa.instruction import TargetKind
@@ -54,18 +59,10 @@ from ..isa.instruction import TargetKind
 #: recompiling an evicted point is microseconds.
 PLAN_CACHE_CAP = 8
 
-#: Delivery-hook kind names for the flat entry codes (mirrors
-#: ``MsgKind.name`` of the message each code replaces).
-FLAT_KIND_NAMES = ("TOKEN", "TOKEN", "TOKEN", "LOAD_REQ", "STORE_UPD")
+#: Delivery-hook kind name (``MsgKind.name``) of each flat entry code.
+FLAT_KIND_NAMES = ("TOKEN", "TOKEN", "TOKEN", "LOAD_REQ", "STORE_UPD",
+                   "LOAD_RESP", "REG_FWD")
 
-#: Test hook: block names forced onto the interpreted fallback path.
-#: Production declines are structural (see ``compile_plan``); this lets
-#: the differential suite exercise mixed specialized/interpreted runs.
-#: Forced declines never touch the persistent plan store — they are not
-#: a property of the block, so persisting them would poison later runs.
-FORCED_DECLINES: Set[str] = set()
-
-_MISSING = object()
 
 # ----------------------------------------------------------------------
 # Persistent plan store (content-addressed, under the result-cache root)
@@ -79,12 +76,11 @@ _STORE_ROOT: Optional[str] = None
 #: Record schema; bump on any change to the serialized plan layout.
 _STORE_SCHEMA = "repro-blockplan/v1"
 
-#: Plan-store activity for this process: ``hits`` are plans (or
-#: declines) loaded from disk instead of compiled, ``misses`` are cold
-#: compilations that were written through.  Distinct from the SimStats
-#: ``specialize_*`` counters, which stay deterministic per run — a
-#: store-loaded plan still reports ``compiled=True`` from
-#: :func:`plan_for`.
+#: Plan-store activity for this process: ``hits`` are plans loaded from
+#: disk instead of compiled, ``misses`` are cold compilations that were
+#: written through.  Distinct from the SimStats ``specialize_*``
+#: counters, which stay deterministic per run — a store-loaded plan
+#: still reports ``compiled=True`` from :func:`plan_for`.
 PLAN_STORE_COUNTS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
@@ -132,18 +128,17 @@ def _freeze(value):
     return value
 
 
-def _load_persisted(block, key: Tuple):
-    """The stored plan (or ``None`` for a persisted decline), else
-    ``_MISSING`` when absent, unreadable, or shape-mismatched."""
+def _load_persisted(block, key: Tuple) -> Optional[BlockPlan]:
+    """The stored plan, or ``None`` when absent, unreadable, or
+    shape-mismatched — including the ``declined`` records that older
+    simulators wrote; the caller recompiles over all of them."""
     path = _store_path(block, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return _MISSING
+        return None
     if not isinstance(data, dict) or data.get("schema") != _STORE_SCHEMA:
-        return _MISSING
-    if data.get("declined"):
         return None
     try:
         sends = _freeze(data["sends"])
@@ -152,13 +147,13 @@ def _load_persisted(block, key: Tuple):
         lsq_deltas = tuple(data["lsq_deltas"])
         latencies = tuple(data["latencies"])
     except (KeyError, TypeError):
-        return _MISSING
+        return None
     n = len(block.instructions)
     if (len(sends) != n or len(branch_deltas) != n or len(lsq_deltas) != n
             or len(latencies) != n or len(reads) != len(block.reads)):
         # A digest collision cannot do this, but a hand-edited or
         # truncated record could: treat as a miss and recompile over it.
-        return _MISSING
+        return None
     return BlockPlan(
         sends=sends,
         reads=reads,
@@ -171,21 +166,16 @@ def _load_persisted(block, key: Tuple):
     )
 
 
-def _persist(block, key: Tuple, plan) -> None:
-    """Write one compiled plan (or decline) through to disk.
+def _persist(block, key: Tuple, plan: BlockPlan) -> None:
+    """Write one compiled plan through to disk.
 
     Atomic tmp+replace and best-effort: a full disk or permission error
     must never fail a simulation.
     """
     path = _store_path(block, key)
-    data = {"schema": _STORE_SCHEMA}
-    if plan is None:
-        data["declined"] = True
-    else:
-        data.update(sends=plan.sends, reads=plan.reads,
-                    branch_deltas=plan.branch_deltas,
-                    lsq_deltas=plan.lsq_deltas,
-                    latencies=plan.latencies)
+    data = {"schema": _STORE_SCHEMA, "sends": plan.sends,
+            "reads": plan.reads, "branch_deltas": plan.branch_deltas,
+            "lsq_deltas": plan.lsq_deltas, "latencies": plan.latencies}
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp.{os.getpid()}"
@@ -241,40 +231,26 @@ class BlockPlan:
         #: Per instruction index: FU latency at this machine point.
         self.latencies = latencies
         #: ``id(inst) -> latency`` — merged into the processor's
-        #: ``_op_latency`` table at plan fetch so the issue loop never
-        #: takes the cold ``_node_latency`` path for a specialized block.
+        #: ``_op_latency`` table at plan fetch; the issue loop reads FU
+        #: latencies from nowhere else.
         self.latency_by_id = latency_by_id
 
 
 def _compile_targets(targets, src, coords, slot_vals, control, delta):
-    """Send entries for one static target list, or None to decline."""
+    """Send entries for one static target list."""
     entries = []
     for target in targets:
-        kind = target.kind
-        if kind is TargetKind.WRITE:
+        if target.kind is TargetKind.WRITE:
             entries.append((1, control, target.index, delta(src, control)))
-        elif kind is TargetKind.INST:
-            slot = target.slot
-            if slot is None or target.index >= len(slot_vals):
-                return None
-            try:
-                pos = slot_vals[target.index].index(slot._value_)
-            except ValueError:
-                return None
+        else:
+            pos = slot_vals[target.index].index(target.slot._value_)
             coord = coords[target.index]
             entries.append((0, coord, target.index, pos, delta(src, coord)))
-        else:
-            return None
     return tuple(entries)
 
 
-def compile_plan(block, config) -> Optional[BlockPlan]:
-    """Compile a block's plan for ``config``'s machine point.
-
-    Returns ``None`` (decline) for any shape whose token routing cannot be
-    fully resolved statically; the caller caches the decline so the block
-    stays on the interpreted path without re-attempting compilation.
-    """
+def compile_plan(block, config) -> BlockPlan:
+    """Compile a validated block's plan for ``config``'s machine point."""
     from .frame import _build_frame_template
     template = getattr(block, "_frame_template", None)
     if template is None:
@@ -296,28 +272,19 @@ def compile_plan(block, config) -> Optional[BlockPlan]:
     def delta(src, dst):
         return max(1, route(src, dst))
 
-    sends = []
-    for idx, inst in enumerate(instructions):
-        entries = _compile_targets(inst.targets, coords[idx], coords,
+    sends = tuple(_compile_targets(inst.targets, coords[idx], coords,
                                    slot_vals, control, delta)
-        if entries is None:
-            return None
-        sends.append(entries)
-
-    reads = []
-    for read in block.reads:
-        entries = _compile_targets(read.targets, control, coords,
+                  for idx, inst in enumerate(instructions))
+    reads = tuple(_compile_targets(read.targets, control, coords,
                                    slot_vals, control, delta)
-        if entries is None:
-            return None
-        reads.append(entries)
+                  for read in block.reads)
 
     fu_latencies = config.fu_latencies
     latencies = tuple(fu_latencies[op_info(inst.opcode).op_class]
                       for inst in instructions)
     return BlockPlan(
-        sends=tuple(sends),
-        reads=tuple(reads),
+        sends=sends,
+        reads=reads,
         read_keys=tuple(("read", ri) for ri in range(len(block.reads))),
         branch_deltas=tuple(delta(coords[i], control)
                             for i in range(len(instructions))),
@@ -329,41 +296,37 @@ def compile_plan(block, config) -> Optional[BlockPlan]:
     )
 
 
-def plan_for(block, key: Tuple, config) -> Tuple[Optional[BlockPlan], bool]:
+def plan_for(block, key: Tuple, config) -> Tuple[BlockPlan, bool]:
     """Fetch (or compile) the plan for ``(block, key)``.
 
-    Returns ``(plan_or_None, compiled)``: ``compiled`` is True when this
-    call paid a compilation (or a decline decision) rather than hitting
-    the block's LRU cache.  The cache lives on the block object itself —
-    next to ``_frame_template`` and with the same lifetime — bounded at
+    Returns ``(plan, compiled)``: ``compiled`` is True when this call
+    paid a compilation (or a plan-store load) rather than hitting the
+    block's LRU cache.  The cache lives on the block object itself — next
+    to ``_frame_template`` and with the same lifetime — bounded at
     :data:`PLAN_CACHE_CAP` entries with least-recently-used eviction.
     """
     cache = getattr(block, "_plan_cache", None)
     if cache is None:
         cache = block._plan_cache = OrderedDict()
-    entry = cache.get(key, _MISSING)
-    if entry is not _MISSING:
+    plan = cache.get(key)
+    if plan is not None:
         cache.move_to_end(key)
-        return entry, False
-    forced = block.name in FORCED_DECLINES
-    persistent = _STORE_ROOT is not None and not forced
+        return plan, False
+    persistent = _STORE_ROOT is not None
     if persistent:
         # Persistent probe on an LRU miss.  A disk hit still returns
         # ``compiled=True``: the SimStats ``specialize_misses`` counter
         # means "this run's cold plan resolutions" and must stay
         # deterministic regardless of shared-store warmth.
         plan = _load_persisted(block, key)
-        if plan is not _MISSING:
-            PLAN_STORE_COUNTS["hits"] += 1
-            cache[key] = plan
-            if len(cache) > PLAN_CACHE_CAP:
-                cache.popitem(last=False)
-            return plan, True
-    plan = None if forced else compile_plan(block, config)
+    if plan is not None:
+        PLAN_STORE_COUNTS["hits"] += 1
+    else:
+        plan = compile_plan(block, config)
+        if persistent:
+            PLAN_STORE_COUNTS["misses"] += 1
+            _persist(block, key, plan)
     cache[key] = plan
     if len(cache) > PLAN_CACHE_CAP:
         cache.popitem(last=False)
-    if persistent:
-        PLAN_STORE_COUNTS["misses"] += 1
-        _persist(block, key, plan)
     return plan, True

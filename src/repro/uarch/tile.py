@@ -4,6 +4,10 @@ Each tile owns the instructions statically mapped to it (from every
 in-flight frame), issues up to ``issue_width_per_tile`` ready nodes per
 cycle — oldest frame first, which guarantees forward progress for the
 commit wave — and models functional-unit occupancy.
+
+``Processor.run`` walks the tiles' heaps inline with the same pop order
+and bookkeeping; the methods here state the rules for the unit tests, and
+a rule changed here must change there too.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Arena recycling conformance: recycled frames leak no state.
 
 The processor recycles retired ``Frame`` objects (and their instruction
-nodes), ``Token`` shells, and ``Message`` shells through free-list pools.
-Recycling must be perfectly invisible: a simulation that reuses arenas
-must produce byte-identical results — summary line, every counter, and
-the final architectural state — to one that allocates everything fresh.
+nodes) through per-block free lists.  Recycling must be perfectly
+invisible: a simulation that reuses arenas must produce byte-identical
+results — summary line, every counter, and the final architectural
+state — to one that allocates everything fresh.
 Checked here for every registered recovery protocol over seeded and
 hypothesis-drawn random programs (the same generator as the protocol
 conformance tests), plus direct unit tests of the reset/life-guard
@@ -58,8 +58,6 @@ def _assert_identical(instance, protocol, **overrides):
     assert arch_state_digest(ra.arch) == arch_state_digest(rb.arch)
     # The fresh-allocation run must truly be one.
     assert pb.frames_recycled == 0
-    assert pb.tokens_recycled == 0
-    assert pb.messages_recycled == 0
     return pa
 
 
@@ -98,24 +96,11 @@ class TestRecyclingActive:
         # committed.
         assert processor.frames_allocated < result.stats.committed_blocks
 
-    def test_shell_pools_recycle_on_interpreted_path(self):
-        # Specialized blocks send flat tuples and never touch the
-        # Token/Message pools; force the interpreted path to exercise
-        # shell recycling.
-        instance = KERNELS["vecsum"].build(64)
-        processor, result = _run(instance, "dsre", True, specialize=False)
-        assert result.halted
-        assert processor.frames_recycled > 0
-        assert processor.tokens_recycled > 0
-        assert processor.messages_recycled > 0
-
     def test_opt_out_allocates_fresh(self):
         instance = KERNELS["vecsum"].build(64)
         processor, result = _run(instance, "dsre", False)
         assert result.halted
         assert processor.frames_recycled == 0
-        assert processor.tokens_recycled == 0
-        assert processor.messages_recycled == 0
         assert processor.frames_allocated >= result.stats.committed_blocks
 
 

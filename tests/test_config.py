@@ -88,7 +88,6 @@ class TestSerialisation:
         data = default_config().to_dict()
         assert set(data) == every - MachineConfig._ELIDE_AT_DEFAULT
         forced = default_config(hybrid_redelivery_limit=7,
-                                specialize=False,
                                 txwave_epoch_blocks=2).to_dict()
         assert set(forced) == every
 

@@ -22,7 +22,8 @@ produced the byte-identical record.  This suite is the proof obligation:
   ``from_cache``, and ``cells_per_sec`` over simulated cells only) must
   stay exact;
 * the persistent block-plan and golden-run stores must round-trip
-  through disk to equivalent objects, decline-aware and corrupt-safe.
+  through disk to equivalent objects, and recompile over corrupt or
+  outdated records.
 """
 
 import json
@@ -42,7 +43,6 @@ from repro.harness.pool import (GOLDEN_STORE_COUNTS, configure_golden_store,
 from repro.harness.runner import STANDARD_POINTS
 from repro.harness.sweep import SweepPlan
 from repro.stats import counters
-from repro.uarch import specialize
 from repro.uarch.config import default_config
 from repro.uarch.specialize import (PLAN_STORE_COUNTS, configure_plan_store,
                                     machine_point_key, plan_for)
@@ -477,16 +477,30 @@ class TestPlanStoreRoundTrip:
             configure_plan_store(None)
             block._plan_cache = None
 
-    def test_persisted_decline_round_trips(self, tmp_path):
-        from repro.uarch.specialize import _load_persisted, _persist
+    def test_old_decline_record_recompiles(self, tmp_path):
+        # Simulators that could still decline a block persisted the
+        # decision; such a record now reads as a miss and is recompiled
+        # over.
+        from repro.uarch.specialize import _STORE_SCHEMA, _store_path
         _, block = self._block()
+        block._plan_cache = None
         configure_plan_store(str(tmp_path))
         try:
-            key = machine_point_key(default_config())
-            _persist(block, key, None)
-            assert _load_persisted(block, key) is None
+            config = default_config()
+            key = machine_point_key(config)
+            path = _store_path(block, key)
+            os.makedirs(os.path.dirname(path))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"schema": _STORE_SCHEMA, "declined": True}, fh)
+            misses0 = PLAN_STORE_COUNTS["misses"]
+            plan, compiled = plan_for(block, key, config)
+            assert compiled and plan is not None
+            assert PLAN_STORE_COUNTS["misses"] == misses0 + 1
+            with open(path, encoding="utf-8") as fh:
+                assert "declined" not in json.load(fh)
         finally:
             configure_plan_store(None)
+            block._plan_cache = None
 
     def test_corrupt_record_recompiles_and_overwrites(self, tmp_path):
         from repro.uarch.specialize import _store_path
@@ -510,29 +524,6 @@ class TestPlanStoreRoundTrip:
             block._plan_cache = None
             again, _ = plan_for(block, key, config)
             assert again.sends == plan.sends
-        finally:
-            configure_plan_store(None)
-            block._plan_cache = None
-
-    def test_forced_declines_never_touch_the_store(self, tmp_path):
-        _, block = self._block()
-        block._plan_cache = None
-        configure_plan_store(str(tmp_path))
-        try:
-            config = default_config()
-            key = machine_point_key(config)
-            specialize.FORCED_DECLINES.add(block.name)
-            try:
-                plan, compiled = plan_for(block, key, config)
-                assert compiled and plan is None
-            finally:
-                specialize.FORCED_DECLINES.discard(block.name)
-            # Nothing was persisted: a forced decline is a test-harness
-            # state, not a property of the block.
-            assert not any(files for _, _, files in os.walk(str(tmp_path)))
-            block._plan_cache = None
-            replan, compiled = plan_for(block, key, config)
-            assert compiled and replan is not None
         finally:
             configure_plan_store(None)
             block._plan_cache = None

@@ -1,6 +1,7 @@
 """Tests for the structured event-hook layer and the trace exporter."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.harness.runner import golden_of
 from repro.uarch.config import default_config
 from repro.uarch.events import (EVENT_KINDS, EventHooks, EventTrace,
                                 ProcEvent)
+from repro.uarch.network import MsgKind
 from repro.uarch.processor import Processor
 from repro.workloads.registry import KERNELS
 
@@ -46,6 +48,19 @@ class TestHookEmission:
                          next_block_predictor="perfect")
         assert result.stats.squashed_executions == 0
         assert trace.counts()["issue"] == result.stats.executions
+
+    def test_delivery_kinds_by_name(self):
+        # Every flat entry code reaches the hook under its MsgKind name;
+        # the per-kind split on histogram @ dsre is pinned.
+        trace = EventTrace()
+        _, result = _run(hooks=trace, recovery="dsre")
+        kinds = Counter(e.data["msg_kind"] for e in trace.events
+                        if e.kind == "deliver")
+        assert kinds == {"TOKEN": 631, "LOAD_REQ": 59, "STORE_UPD": 55,
+                         "LOAD_RESP": 81, "REG_FWD": 19}
+        assert set(kinds) == {kind.name for kind in MsgKind}
+        assert sum(kinds.values()) == result.network_stats.delivered == 845
+        assert result.stats.cycles == 641
 
     def test_violate_carries_both_parties(self):
         trace = EventTrace()

@@ -10,6 +10,7 @@ from repro.errors import SimulationError
 from repro.harness import (ParallelRunner, PoolExhaustedError, ResultCache,
                            SweepPlan, WorkerPool, golden_for,
                            reset_golden_memo, run_cell_chunk)
+from repro.harness import parallel
 from repro.harness.parallel import merge_session_metrics, session_shard_path
 from repro.workloads import KERNELS
 
@@ -189,8 +190,12 @@ class TestRunnerPooling:
         assert [r.arch_digest for r in a] == [r.arch_digest for r in b]
         assert [r.label for r in a] == [r.label for r in b]
 
-    def test_small_remainder_stays_in_process(self):
+    def test_small_remainder_stays_in_process(self, monkeypatch):
+        # Pin the schedulable core count: on a host with fewer than four
+        # cores, jobs=4 would clamp and two cells would fill the pool.
+        monkeypatch.setattr(parallel, "_available_cores", lambda: 4)
         runner = ParallelRunner(jobs=4)
+        assert runner.effective_jobs == 4
         plan = SweepPlan()
         plan.add(KERNELS["queue"].build(12), "dsre")
         plan.add(KERNELS["vecsum"].build(16), "dsre")

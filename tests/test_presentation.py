@@ -9,6 +9,9 @@ not discovered in a deadlock dump.
 
 import textwrap
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.harness.runner import golden_of
 from repro.isa import ProgramBuilder
 from repro.uarch.config import default_config
@@ -27,22 +30,13 @@ def _tiny_program():
     return pb.build()
 
 
-def _tick(proc, n):
-    """Drive ``n`` iterations of the run loop's per-cycle phase sequence."""
-    lsq = proc.lsq
-    for _ in range(n):
-        nxt = proc._next_event_cycle()
-        proc.cycle = nxt if (nxt is not None and nxt > proc.cycle + 1) \
-            else proc.cycle + 1
-        lsq.now = proc.cycle
-        proc._deliver_messages()
-        if proc._active_tiles:
-            proc._tick_tiles()
-        inflight = proc.fetch_inflight
-        if inflight is None or proc.cycle >= inflight[1]:
-            proc._tick_fetch()
-        if proc.frames and proc.cycle >= proc.commit_ready_cycle:
-            proc._tick_commit()
+def _mid_flight():
+    """A processor stopped by the cycle cap partway through its run."""
+    proc = Processor(_tiny_program(),
+                     default_config(recovery="dsre", max_cycles=15), {})
+    with pytest.raises(SimulationError, match="exceeded max_cycles"):
+        proc.run()
+    return proc
 
 
 class TestSummaryGolden:
@@ -84,9 +78,7 @@ class TestSummaryGolden:
 
 class TestDebugDumpGolden:
     def test_mid_flight_dump(self):
-        proc = Processor(_tiny_program(),
-                         default_config(recovery="dsre"), {})
-        _tick(proc, 4)
+        proc = _mid_flight()
         assert proc._debug_dump() == textwrap.dedent("""\
             cycle=16 frames=1 fetch_target='@halt' inflight=None
               <Frame uid=0 seq=0 main> branch=None branch_final=False \
@@ -105,9 +97,7 @@ slots={'OP0': 'empty', 'OP1': 'empty'}""")
     def test_dump_is_rendered_snapshot(self):
         # _debug_dump is exactly the snapshot pipeline — the pull-based
         # machine view and the formatter cannot drift from it.
-        proc = Processor(_tiny_program(),
-                         default_config(recovery="dsre"), {})
-        _tick(proc, 4)
+        proc = _mid_flight()
         snap = machine_snapshot(proc)
         assert proc._debug_dump() == format_snapshot(snap)
         assert snap["cycle"] == 16

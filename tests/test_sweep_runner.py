@@ -171,6 +171,33 @@ class TestDeterminism:
             sum(r.stats.cycles for r in results)
         assert runner.cells_executed == 2
 
+    def test_fill_reports_the_cycles_a_render_reports(self, cache):
+        # fill_plan and run_plan summarize the same cells the same way,
+        # whether they simulate them or find them cached.
+        def plan():
+            plan = SweepPlan()
+            for kernel in ("vecsum", "queue"):
+                instance = KERNELS[kernel].build_test()
+                for point in ("conservative", "dsre", "oracle"):
+                    plan.add(instance, point)
+            return plan
+
+        def cycles(summary):
+            return next(part for part in summary.split(", ")
+                        if part.endswith(" cycles simulated"))
+
+        with ParallelRunner(jobs=1, cache=cache) as filler:
+            filler.fill_plan(plan())
+        with ParallelRunner(jobs=1, cache=cache) as refill:
+            refill.fill_plan(plan())          # every cell cached
+        with ParallelRunner(jobs=1, cache=cache) as render:
+            results = render.run_plan(plan())
+        total = sum(r.stats.cycles for r in results)
+        assert total > 0
+        assert filler.merged_stats.cycles == total
+        assert cycles(filler.summary()) == cycles(render.summary()) \
+            == cycles(refill.summary()) == f"{total} cycles simulated"
+
 
 class TestDifferentialCheck:
     def test_corrupted_timing_result_rejected(self, monkeypatch):
