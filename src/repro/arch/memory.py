@@ -7,6 +7,7 @@ with its own instance initialised from the program's data segments.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterable, List, Tuple
 
 from ..isa.program import DataSegment
@@ -20,6 +21,11 @@ PAGE_MASK = PAGE_SIZE - 1
 #: produced by buggy kernels long before memory fills up.
 ADDRESS_BITS = 48
 ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
+
+#: One page as its aligned little-endian words, decoded in one C call.
+_PAGE_WORDS = struct.Struct(f"<{PAGE_SIZE // 8}Q")
+_WORD_OFFSETS = range(0, PAGE_SIZE, 8)
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class SparseMemory:
@@ -95,24 +101,31 @@ class SparseMemory:
         return sorted(self._pages)
 
     def nonzero_words(self) -> List[Tuple[int, int]]:
-        """All (address, value) pairs of non-zero aligned words (for tests)."""
+        """All (address, value) pairs of non-zero aligned words, in
+        address order.
+
+        This is the memory half of every cell's architectural digest
+        (:func:`repro.harness.parallel.arch_state_digest`) and of the
+        differential check's mismatch report.  Every byte lies in
+        exactly one aligned word, so two memories hold the same bytes
+        exactly when these lists are equal.
+        """
         result = []
+        unpack = _PAGE_WORDS.unpack
         for page_no in sorted(self._pages):
             base = page_no << PAGE_SHIFT
-            page = self._pages[page_no]
-            for off in range(0, PAGE_SIZE, 8):
-                word = int.from_bytes(page[off:off + 8], "little")
-                if word:
-                    result.append((base + off, word))
+            result.extend([(base + off, word) for off, word
+                           in zip(_WORD_OFFSETS, unpack(self._pages[page_no]))
+                           if word])
         return result
 
     def same_contents(self, other: "SparseMemory") -> bool:
         """Deep content equality (zero pages are equivalent to absent ones)."""
-        zero = bytes(PAGE_SIZE)
-        pages = set(self._pages) | set(other._pages)
-        for page_no in pages:
-            mine = bytes(self._pages.get(page_no, zero))
-            theirs = bytes(other._pages.get(page_no, zero))
-            if mine != theirs:
+        mine, theirs = self._pages, other._pages
+        for page_no, page in mine.items():
+            if page != theirs.get(page_no, _ZERO_PAGE):
+                return False
+        for page_no, page in theirs.items():
+            if page_no not in mine and page != _ZERO_PAGE:
                 return False
         return True

@@ -201,7 +201,9 @@ class ResultCache:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, sort_keys=True)
+                    # dumps, not dump: the same bytes, from the C
+                    # encoder, in one write.
+                    fh.write(json.dumps(record, sort_keys=True))
                 break
             except FileNotFoundError:
                 # A concurrent clear pruned the still-empty shard

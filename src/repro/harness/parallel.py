@@ -50,7 +50,8 @@ from .cache import SCHEMA_VERSION, ResultCache, cache_key
 from .elide import elide_pairs
 from .journal import PlanJournal, plan_digest
 from .pool import (GOLDEN_STORE_COUNTS, SweepMetrics, WorkerPool,
-                   configure_golden_store, golden_for, run_cell_chunk)
+                   configure_golden_store, golden_for, identity_digests,
+                   run_cell_chunk)
 from .runner import POINT_ORDER
 from .sweep import SweepCell, SweepPlan
 
@@ -191,11 +192,15 @@ def _counters_from_dict(cls, data: Dict[str, int]):
 
 
 def arch_state_digest(state: ArchState) -> str:
-    """SHA-256 over the final registers and all non-zero memory words."""
+    """SHA-256 over the final registers and all non-zero memory words.
+
+    The hashed stream is the register list followed by one
+    ``;addr:word`` item per non-zero aligned word, in address order.
+    """
     h = hashlib.sha256()
     h.update(",".join(map(str, state.regs)).encode())
-    for addr, word in state.memory.nonzero_words():
-        h.update(f";{addr}:{word}".encode())
+    h.update("".join([f";{addr}:{word}" for addr, word
+                      in state.memory.nonzero_words()]).encode())
     return h.hexdigest()
 
 
@@ -244,7 +249,13 @@ def _simulate(instance: KernelInstance, config: MachineConfig,
 def _differential_problems(golden_state: ArchState,
                            timing_state: ArchState,
                            limit: int = 8) -> List[str]:
-    """Human-readable diffs between golden and timing final states."""
+    """Human-readable diffs between golden and timing final states.
+
+    Equal states (registers, then memory page by page) have none; the
+    per-word report is built only for a state that differs.
+    """
+    if golden_state == timing_state:
+        return []
     problems = []
     for reg, (want, got) in enumerate(zip(golden_state.regs,
                                           timing_state.regs)):
@@ -437,7 +448,7 @@ class ParallelRunner:
     def run_plan(self, plan: Iterable[SweepCell]) -> List[CellResult]:
         started = time.perf_counter()
         cells = list(plan)
-        digests = [cell.instance.identity_digest() for cell in cells]
+        digests = identity_digests(cells)
         results: List[Optional[CellResult]] = [None] * len(cells)
         keys: List[Optional[str]] = [None] * len(cells)
         pending: List[int] = []
@@ -504,7 +515,7 @@ class ParallelRunner:
             raise ValueError("fill_plan requires a cache")
         started = time.perf_counter()
         cells = list(plan)
-        digests = [cell.instance.identity_digest() for cell in cells]
+        digests = identity_digests(cells)
         keys = [cache_key(digests[i], cells[i].config())
                 for i in range(len(cells))]
         cached: List[int] = []
@@ -581,10 +592,12 @@ class ParallelRunner:
                  pending: List[int]) -> Iterable[Tuple[int, dict]]:
         """Run the un-cached cells; yields ``(plan_index, record)``.
 
-        Yields **incrementally** — per cell in-process, per kernel chunk
-        pooled — so the caller admits and journals each completion as it
-        lands: a crash mid-plan loses at most the in-flight cell (or
-        chunk), never already-finished work.  Also fills the per-plan
+        In-process, each cell is yielded as it completes, so the caller
+        admits and journals it at once: a crash mid-plan loses at most
+        the in-flight cell.  Pooled, :meth:`WorkerPool.run` returns only
+        after every chunk has finished, so nothing is yielded before
+        then: a crash mid-plan loses every pooled record of the plan
+        (finished chunks re-execute on resume).  Also fills the per-plan
         redundancy counters consumed by :meth:`_account_plan` (complete
         once the iterator is exhausted).
         """
@@ -657,8 +670,9 @@ class ParallelRunner:
         (or memo-hits) that kernel's golden run exactly once.  Bigger
         chunks are submitted first (LPT-style) so the last task to
         finish is a small one; chunks are never split — that would
-        re-introduce redundant golden runs.  Yields each chunk's records
-        as the chunk completes.
+        re-introduce redundant golden runs.  Yields the records only
+        once the whole pool run has returned, chunk by chunk in
+        submission order — not as each chunk completes.
         """
         shared: Dict[int, KernelInstance] = {}
         chunks = [[(index, self._pruned(cells[index], shared))

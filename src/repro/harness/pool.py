@@ -139,9 +139,9 @@ def golden_for(instance, digest: Optional[str] = None,
     :meth:`KernelInstance.identity_digest` — the same content digest the
     result cache is addressed by — so two instances with equal digests
     share one golden run and a mutated instance misses cleanly.  Callers
-    that already derived the digest (the runner computes one per cell
-    for cache probing and chunk grouping) pass it in to skip re-encoding
-    the program.
+    that already derived the digest (the runner derives one per distinct
+    instance object of a plan, for cache probing and chunk grouping)
+    pass it in to skip re-encoding the program.
     """
     if digest is None:
         digest = instance.identity_digest()
@@ -165,6 +165,25 @@ def golden_for(instance, digest: Optional[str] = None,
         memo.popitem(last=False)
     _golden_to_disk(digest, golden)
     return golden, True
+
+
+def identity_digests(cells: Sequence) -> List[str]:
+    """Each cell's :meth:`KernelInstance.identity_digest`, derived once
+    per distinct instance object.
+
+    The memo lives only for this call (keyed by ``id``, which is stable
+    while ``cells`` holds the instances), so nothing is cached on the
+    instances themselves.
+    """
+    by_object: Dict[int, str] = {}
+    digests = []
+    for cell in cells:
+        instance = cell.instance
+        digest = by_object.get(id(instance))
+        if digest is None:
+            digest = by_object[id(instance)] = instance.identity_digest()
+        digests.append(digest)
+    return digests
 
 
 def reset_golden_memo() -> None:
@@ -194,7 +213,9 @@ def run_cell_chunk(chunk: Sequence) -> dict:
     from .elide import elide_pairs
     from .parallel import execute_cell
 
-    digests = {cell.instance.identity_digest() for _, cell in chunk}
+    # The runner's chunks share one instance object per kernel (and
+    # pickling keeps that sharing), so this derives one digest.
+    digests = set(identity_digests([cell for _, cell in chunk]))
     if len(digests) != 1:
         raise SimulationError(
             f"kernel-affine chunk spans {len(digests)} identity digests")

@@ -180,7 +180,9 @@ def _persist(block, key: Tuple, plan: BlockPlan) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + f".tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            # dumps, not dump: the same bytes, from the C encoder, in
+            # one write.
+            fh.write(json.dumps(data))
         os.replace(tmp, path)
     except OSError:
         pass

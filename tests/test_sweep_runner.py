@@ -2,17 +2,23 @@
 the content-addressed result cache, and the always-on differential check."""
 
 import json
+import re
 
 import pytest
 
+from repro.arch.interp import run_program
+from repro.arch.memory import PAGE_SHIFT
 from repro.errors import GoldenMismatchError
 from repro.harness import (ParallelRunner, ResultCache, SweepPlan, cache_key,
                            execute_cell)
 from repro.harness import parallel as parallel_mod
 from repro.harness.cache import SCHEMA_VERSION
+from repro.harness.experiments import E10_POINTS
+from repro.harness.pool import run_cell_chunk
 from repro.harness.sweep import SweepCell
 from repro.uarch.config import default_config
 from repro.workloads import KERNELS
+from repro.workloads.common import KernelInstance
 
 
 @pytest.fixture
@@ -247,6 +253,89 @@ class TestDifferentialCheck:
         inst.expected_regs[2] = 999999
         with pytest.raises(GoldenMismatchError, match="wrong final state"):
             execute_cell(SweepCell(inst, "dsre"))
+
+    def test_extra_zero_page_passes(self, monkeypatch):
+        """An all-zero page counts as absent: the padded state passes
+        the page-level check and digests like the golden state."""
+        inst = small()
+        plain = execute_cell(SweepCell(inst, "dsre"))
+        real = parallel_mod._simulate
+        pad = 0x7_0000_0000
+
+        def padded(instance, config, golden, arena=None):
+            result = real(instance, config, golden, arena)
+            result.arch.memory.write_word(pad, 0)
+            return result
+
+        monkeypatch.setattr(parallel_mod, "_simulate", padded)
+        record = execute_cell(SweepCell(inst, "dsre"))
+        _, golden_state = run_program(inst.program, inst.initial_regs)
+        page = pad >> PAGE_SHIFT
+        assert page not in golden_state.memory.touched_pages()
+        assert record == plain
+        assert record["arch_digest"] == \
+            parallel_mod.arch_state_digest(golden_state)
+
+    def test_registers_listed_before_memory(self, monkeypatch):
+        real = parallel_mod._simulate
+
+        def corrupted(instance, config, golden, arena=None):
+            result = real(instance, config, golden, arena)
+            result.arch.set_reg(2, result.arch.get_reg(2) ^ 0xDEAD)
+            result.arch.memory.write_word(0x9_0000, 0x1234)
+            return result
+
+        monkeypatch.setattr(parallel_mod, "_simulate", corrupted)
+        with pytest.raises(GoldenMismatchError) as err:
+            execute_cell(SweepCell(small(), "dsre"))
+        assert re.search(r"diverges from the golden interpreter: "
+                         r"R2 = \d+, golden \d+; "
+                         r"mem\[0x90000\] = 4660, golden 0$",
+                         str(err.value))
+
+
+class TestIdentityDigestCount:
+    """The runner and a worker chunk derive one identity digest per
+    distinct instance object, not one per cell."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = KernelInstance.identity_digest
+
+        def counting(instance):
+            seen.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(KernelInstance, "identity_digest", counting)
+        return seen
+
+    @staticmethod
+    def three_by_seven():
+        plan = SweepPlan()
+        for name, size in (("queue", 12), ("vecsum", 16),
+                           ("histogram", 16)):
+            plan.add_points(KERNELS[name].build(size), E10_POINTS)
+        return plan
+
+    def test_run_plan(self, cache, calls):
+        plan = self.three_by_seven()
+        ParallelRunner(jobs=1, cache=cache).run_plan(plan)
+        assert len(plan.cells) == 21
+        assert len(calls) == 3
+
+    def test_fill_plan(self, cache, calls):
+        plan = self.three_by_seven()
+        summary = ParallelRunner(jobs=1, cache=cache).fill_plan(plan)
+        assert summary["cells"] == 21
+        assert len(calls) == 3
+
+    def test_chunk(self, calls):
+        plan = SweepPlan()
+        plan.add_points(small(), E10_POINTS)
+        payload = run_cell_chunk(list(enumerate(plan.cells)))
+        assert len(payload["records"]) == 7
+        assert len(calls) == 1
 
 
 class TestGoldenMemo:
