@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from .tokens import ProducerKey, SlotStatus, Token, TokenValue
+from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
+                     ProducerKey, SlotStatus, Token, TokenValue)
 
 
 @dataclass(slots=True)
@@ -34,21 +35,31 @@ class _Latest:
     final: bool
 
 
-@dataclass(frozen=True, slots=True)
 class Effective:
-    """Snapshot of a slot's resolved state (hashable for signatures)."""
+    """Snapshot of a slot's resolved state.
 
-    status: SlotStatus
-    value: TokenValue = None
-    producer: Optional[ProducerKey] = None
-    wave: int = -1
+    Never mutated: a buffer replaces its snapshot on every change.  A
+    plain ``__slots__`` class, not a frozen dataclass, whose generated
+    ``__init__`` pays one ``object.__setattr__`` per field.  Nothing
+    hashes or compares snapshots; issue signatures hold ``(producer,
+    wave)`` pairs (``InstructionNode.current_signature``).
+    """
+
+    __slots__ = ("status", "value", "producer", "wave")
+
+    def __init__(self, status: SlotStatus, value: TokenValue = None,
+                 producer: Optional[ProducerKey] = None, wave: int = -1):
+        self.status = status
+        self.value = value
+        self.producer = producer
+        self.wave = wave
 
     @property
     def resolved(self) -> bool:
-        return self.status is not SlotStatus.EMPTY
+        return self.status is not STATUS_EMPTY
 
 
-EMPTY_EFFECTIVE = Effective(SlotStatus.EMPTY)
+EMPTY_EFFECTIVE = Effective(STATUS_EMPTY)
 
 
 class TokenBuffer:
@@ -137,10 +148,10 @@ class TokenBuffer:
             # state mirrors its latest token directly.
             old = self._effective
             if current.value is not None:
-                effective = Effective(SlotStatus.VALUE, current.value,
+                effective = Effective(STATUS_VALUE, current.value,
                                       producer, current.wave)
             else:
-                effective = Effective(SlotStatus.ALL_NULL)
+                effective = Effective(STATUS_ALL_NULL)
             self._effective = effective
             self._final = current.final
             return ((old.status is not effective.status
@@ -169,10 +180,10 @@ class TokenBuffer:
         old = self._effective
         if best_producer is not None:
             effective = Effective(
-                SlotStatus.VALUE, best_latest.value, best_producer,
+                STATUS_VALUE, best_latest.value, best_producer,
                 best_latest.wave)
         elif nulls == len(order):
-            effective = Effective(SlotStatus.ALL_NULL)
+            effective = Effective(STATUS_ALL_NULL)
         else:
             effective = EMPTY_EFFECTIVE
         if all_final and non_null_finals > 1:

@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..isa.instruction import Instruction, Slot
+from ..isa.instruction import (SLOT_OP0, SLOT_OP1, SLOT_PRED, Instruction,
+                               Slot)
 from ..isa.opcodes import Opcode
 from ..isa.semantics import alu_callable, effective_address
 from ..isa.values import WORD_MASK
 from ..isa.values import is_true, to_unsigned
-from .buffers import EMPTY_EFFECTIVE, Effective, SlotStatus, TokenBuffer
-from .tokens import ProducerKey, Token, TokenValue
+from .buffers import EMPTY_EFFECTIVE, Effective, TokenBuffer
+from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
+                     ProducerKey, Token, TokenValue)
 
 #: Signature of an issue: per required slot, the (producer, wave) that fed it
 #: (``None`` entries stand for ALL_NULL slots).
@@ -49,6 +51,14 @@ class OutcomeKind(enum.Enum):
     LOAD_REQUEST = "load"      # address ready: hand to the LSQ
     STORE_UPDATE = "store"     # address+data ready: hand to the LSQ
     BRANCH = "branch"          # block exit target resolved
+
+
+#: The members bound once as module constants (docs/PERFORMANCE.md §12).
+OUT_NULL = OutcomeKind.NULL
+OUT_VALUE = OutcomeKind.VALUE
+OUT_LOAD_REQUEST = OutcomeKind.LOAD_REQUEST
+OUT_STORE_UPDATE = OutcomeKind.STORE_UPDATE
+OUT_BRANCH = OutcomeKind.BRANCH
 
 
 @dataclass(slots=True)
@@ -66,7 +76,11 @@ class NodeState(enum.Enum):
     EXECUTING = "executing"    # occupying a functional unit
 
 
-_NULL_OUTCOME = Outcome(OutcomeKind.NULL)
+NODE_IDLE = NodeState.IDLE
+NODE_EXECUTING = NodeState.EXECUTING
+
+
+_NULL_OUTCOME = Outcome(OUT_NULL)
 
 
 #: Outcome-dispatch codes precomputed per static instruction.
@@ -168,7 +182,7 @@ class InstructionNode:
         node._producer_key = producer_key
         node._sig_cache = None
         node.life = 0
-        node.state = NodeState.IDLE
+        node.state = NODE_IDLE
         node.exec_count = 0
         node.out_wave = 0
         node.issued_signature = None
@@ -198,9 +212,9 @@ class InstructionNode:
         self._buffer_list = [buf for _, buf in pairs]
         self._sig_slots = tuple(slot for slot, _ in pairs)
         self._buf_by_val = {slot._value_: buf for slot, buf in pairs}
-        self._op0_buf = self._buf_by_val.get(Slot.OP0._value_)
-        self._op1_buf = self._buf_by_val.get(Slot.OP1._value_)
-        self._pred_buf = self._buf_by_val.get(Slot.PRED._value_)
+        self._op0_buf = self._buf_by_val.get(SLOT_OP0._value_)
+        self._op1_buf = self._buf_by_val.get(SLOT_OP1._value_)
+        self._pred_buf = self._buf_by_val.get(SLOT_PRED._value_)
         self._plan = _exec_plan(self.inst)
         self._producer_key = ("inst", self.index)
         self._sig_cache: Optional[IssueSignature] = None
@@ -208,7 +222,7 @@ class InstructionNode:
         #: by every ``reset_for_reuse`` so stale tile-heap entries (tagged
         #: with the life they were pushed under) are recognisably dead.
         self.life = 0
-        self.state = NodeState.IDLE
+        self.state = NODE_IDLE
         self.exec_count = 0            # times through a functional unit
         self.out_wave = 0              # output generation counter
         self.issued_signature: Optional[IssueSignature] = None
@@ -241,7 +255,7 @@ class InstructionNode:
             buffer._effective = EMPTY_EFFECTIVE
             buffer._final = False
         self._sig_cache = None
-        self.state = NodeState.IDLE
+        self.state = NODE_IDLE
         self.exec_count = 0
         self.out_wave = 0
         self.issued_signature = None
@@ -271,7 +285,7 @@ class InstructionNode:
 
     def all_resolved(self) -> bool:
         for b in self._buffer_list:
-            if b._effective.status is SlotStatus.EMPTY:
+            if b._effective.status is STATUS_EMPTY:
                 return False
         return True
 
@@ -294,7 +308,7 @@ class InstructionNode:
         parts = []
         for buffer in self._buffer_list:
             eff = buffer._effective
-            if eff.status is SlotStatus.VALUE:
+            if eff.status is STATUS_VALUE:
                 parts.append((eff.producer, eff.wave))
             else:
                 parts.append(None)
@@ -307,10 +321,10 @@ class InstructionNode:
     # ------------------------------------------------------------------
 
     def can_issue(self) -> bool:
-        if self.state is not NodeState.IDLE:
+        if self.state is not NODE_IDLE:
             return False
         for b in self._buffer_list:
-            if b._effective.status is SlotStatus.EMPTY:
+            if b._effective.status is STATUS_EMPTY:
                 return False
         return self.exec_count == 0 \
             or self.current_signature() != self.issued_signature
@@ -322,7 +336,7 @@ class InstructionNode:
 
     def _begin_issued(self) -> None:
         """Issue without revalidating (caller just checked ``can_issue``)."""
-        self.state = NodeState.EXECUTING
+        self.state = NODE_EXECUTING
         self.issued_signature = self.current_signature()
         self.exec_count += 1
 
@@ -335,13 +349,13 @@ class InstructionNode:
         underneath us without changing the signature (in which case the
         processor immediately re-issues).
         """
-        if self.state is not NodeState.EXECUTING:
+        if self.state is not NODE_EXECUTING:
             raise SimulationError(
                 f"I{self.index} completed while not executing")
-        self.state = NodeState.IDLE
+        self.state = NODE_IDLE
         outcome = self._compute_outcome()
         self.last_outcome = outcome
-        if outcome.kind is not OutcomeKind.NULL:
+        if outcome.kind is not OUT_NULL:
             self.exec_useful += 1
         return outcome
 
@@ -354,48 +368,48 @@ class InstructionNode:
 
     def _value(self, slot: Slot) -> int:
         eff = self._effective(slot)
-        return eff.value if eff.status is SlotStatus.VALUE else 0
+        return eff.value if eff.status is STATUS_VALUE else 0
 
     def _buf_value(self, buffer: Optional[TokenBuffer], slot: Slot) -> int:
         if buffer is None:
             raise KeyError(slot)
         eff = buffer._effective
-        return eff.value if eff.status is SlotStatus.VALUE else 0
+        return eff.value if eff.status is STATUS_VALUE else 0
 
     def _compute_outcome(self) -> Outcome:
         for buffer in self._buffer_list:
-            if buffer._effective.status is SlotStatus.ALL_NULL:
+            if buffer._effective.status is STATUS_ALL_NULL:
                 return _NULL_OUTCOME
         # Static per-instruction dispatch data, precomputed once (see
         # ``_exec_plan``): avoids the opcode-property chain per execution.
         kind, pred, addr_imm, imm_u, alu, branch_target = self._plan
         if pred is not None:
-            if is_true(self._buf_value(self._pred_buf, Slot.PRED)) != pred:
+            if is_true(self._buf_value(self._pred_buf, SLOT_PRED)) != pred:
                 return _NULL_OUTCOME
+        # Positional arguments: (kind, value, addr, store_value).
         if kind == _PLAN_ALU:
-            op0 = self._buf_value(self._op0_buf, Slot.OP0)
+            op0 = self._buf_value(self._op0_buf, SLOT_OP0)
             if imm_u is not None:
                 op1 = imm_u
             elif self._op1_buf is not None:
-                op1 = self._buf_value(self._op1_buf, Slot.OP1)
+                op1 = self._buf_value(self._op1_buf, SLOT_OP1)
             else:
                 op1 = 0
-            return Outcome(OutcomeKind.VALUE,
-                           value=alu(op0 & WORD_MASK, op1 & WORD_MASK))
+            return Outcome(OUT_VALUE,
+                           alu(op0 & WORD_MASK, op1 & WORD_MASK))
         if kind == _PLAN_LOAD:
             addr = effective_address(
-                self._buf_value(self._op0_buf, Slot.OP0), addr_imm)
-            return Outcome(OutcomeKind.LOAD_REQUEST, addr=addr)
+                self._buf_value(self._op0_buf, SLOT_OP0), addr_imm)
+            return Outcome(OUT_LOAD_REQUEST, None, addr)
         if kind == _PLAN_STORE:
             addr = effective_address(
-                self._buf_value(self._op0_buf, Slot.OP0), addr_imm)
-            return Outcome(OutcomeKind.STORE_UPDATE, addr=addr,
-                           store_value=self._buf_value(self._op1_buf,
-                                                       Slot.OP1))
+                self._buf_value(self._op0_buf, SLOT_OP0), addr_imm)
+            return Outcome(OUT_STORE_UPDATE, None, addr,
+                           self._buf_value(self._op1_buf, SLOT_OP1))
         if kind == _PLAN_BRANCH:
-            return Outcome(OutcomeKind.BRANCH, value=branch_target)
-        return Outcome(OutcomeKind.VALUE,                 # MOVI
-                       value=imm_u if imm_u is not None
+            return Outcome(OUT_BRANCH, branch_target)
+        return Outcome(OUT_VALUE,                 # MOVI
+                       imm_u if imm_u is not None
                        else to_unsigned(self.inst.imm))
 
     # ------------------------------------------------------------------
@@ -426,7 +440,7 @@ class InstructionNode:
 
     def output_final_ready(self) -> bool:
         """Commit rule for non-load nodes (loads go through LSQ confirm)."""
-        return (self.state is NodeState.IDLE
+        return (self.state is NODE_IDLE
                 and self.exec_count > 0
                 and self.inputs_final()
                 and self.issued_signature == self.current_signature())
@@ -439,7 +453,7 @@ class InstructionNode:
         uses this to confirm non-overlapping loads without waiting for the
         store's data chain to commit.
         """
-        if self.state is not NodeState.IDLE or self.exec_count == 0:
+        if self.state is not NODE_IDLE or self.exec_count == 0:
             return False
         if self.issued_signature != self.current_signature():
             return False

@@ -56,6 +56,12 @@ class SlotStatus(enum.Enum):
     ALL_NULL = "all_null"    # every static producer declined
 
 
+#: The members bound once as module constants (docs/PERFORMANCE.md §12).
+STATUS_EMPTY = SlotStatus.EMPTY
+STATUS_VALUE = SlotStatus.VALUE
+STATUS_ALL_NULL = SlotStatus.ALL_NULL
+
+
 @dataclass(slots=True)
 class Token:
     """One operand delivery.

@@ -24,6 +24,14 @@ class Slot(enum.Enum):
     PRED = 2
 
 
+#: The members bound once as module constants (the same objects, so
+#: ``is`` tests are unchanged): per-event code reads a global instead of
+#: paying an attribute lookup on the enum class (docs/PERFORMANCE.md §12).
+SLOT_OP0 = Slot.OP0
+SLOT_OP1 = Slot.OP1
+SLOT_PRED = Slot.PRED
+
+
 class TargetKind(enum.Enum):
     """What a :class:`Target` points at."""
 

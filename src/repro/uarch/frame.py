@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.buffers import SlotStatus, TokenBuffer
-from ..core.node import InstructionNode, build_node_template
+from ..core.buffers import TokenBuffer
+from ..core.node import OUT_NULL, InstructionNode, build_node_template
+from ..core.tokens import STATUS_VALUE
 from ..errors import SimulationError
 from ..isa.block import Block
 from ..isa.instruction import Slot
@@ -160,14 +161,14 @@ class Frame:
     @property
     def branch_label(self) -> Optional[str]:
         eff = self.branch_buffer.effective
-        if eff.status is SlotStatus.VALUE:
+        if eff.status is STATUS_VALUE:
             return eff.value
         return None
 
     def branch_final(self) -> bool:
         if not self.branch_buffer.is_final():
             return False
-        if self.branch_buffer.effective.status is not SlotStatus.VALUE:
+        if self.branch_buffer.effective.status is not STATUS_VALUE:
             raise SimulationError(
                 f"frame {self.uid} ({self.block.name}): no branch fired")
         return True
@@ -176,7 +177,7 @@ class Frame:
         for wi, buffer in enumerate(self.write_buffers):
             if not buffer.is_final():
                 return False
-            if buffer.effective.status is not SlotStatus.VALUE:
+            if buffer.effective.status is not STATUS_VALUE:
                 raise SimulationError(
                     f"frame {self.uid} ({self.block.name}): write slot "
                     f"W{wi} finalised all-null")
@@ -195,7 +196,7 @@ class Frame:
         """
         if self.branch_label is None:
             return False
-        return all(b.effective.status is SlotStatus.VALUE
+        return all(b.effective.status is STATUS_VALUE
                    for b in self.write_buffers)
 
     def final_reg_writes(self) -> Dict[int, int]:
@@ -209,11 +210,10 @@ class Frame:
 
     def useful_instructions(self) -> int:
         """Nodes whose (final) outcome was a real result, not a NULL."""
-        from ..core.node import OutcomeKind
         count = 0
         for node in self.nodes:
             if node.last_outcome is not None \
-                    and node.last_outcome.kind is not OutcomeKind.NULL:
+                    and node.last_outcome.kind is not OUT_NULL:
                 count += 1
         return count
 

@@ -62,6 +62,11 @@ class MemKind(enum.Enum):
     STORE = "store"
 
 
+#: The members bound once as module constants (docs/PERFORMANCE.md §12).
+MEM_LOAD = MemKind.LOAD
+MEM_STORE = MemKind.STORE
+
+
 @dataclass(slots=True)
 class MemEntry:
     """One in-flight memory operation."""
@@ -118,10 +123,10 @@ class MemEntry:
         the flush mechanism buys in exchange for expensive recovery.
         """
         if require_confirm:
-            if self.kind is MemKind.STORE:
+            if self.kind is MEM_STORE:
                 return self.final and self.store_resolved
             return (self.null and self.final) or self.confirmed
-        if self.kind is MemKind.STORE:
+        if self.kind is MEM_STORE:
             return self.store_resolved
         return self.null or self.issued
 
@@ -273,7 +278,7 @@ class LoadStoreQueue:
                                 if inst.is_memory), key=lambda i: i.lsid)
             template = tuple(
                 (inst.lsid,
-                 MemKind.LOAD if inst.is_load else MemKind.STORE,
+                 MEM_LOAD if inst.is_load else MEM_STORE,
                  (block.name, inst.lsid), inst.width)
                 for inst in mem_insts)
             block._lsq_template = template
@@ -283,7 +288,7 @@ class LoadStoreQueue:
             entry = MemEntry(frame_uid, seq, lsid, kind, static_id, width,
                              epoch)
             entries[lsid] = entry
-            if kind is MemKind.STORE:
+            if kind is MEM_STORE:
                 # Frames register in seq order and entries in LSID order,
                 # so plain appends keep every store list sorted.
                 key = entry.order_key
@@ -321,7 +326,7 @@ class LoadStoreQueue:
         self._flat_cache = None
         for entry in entries.values():
             key = entry.order_key
-            if entry.kind is MemKind.STORE:
+            if entry.kind is MEM_STORE:
                 index = bisect_left(self._store_keys, key)
                 del self._store_order[index]
                 del self._store_keys[index]
@@ -351,7 +356,7 @@ class LoadStoreQueue:
                 raise SimulationError(
                     f"commit of frame {frame_uid} with incomplete "
                     f"lsid {e.lsid}")
-            if e.kind is MemKind.STORE and not e.null:
+            if e.kind is MEM_STORE and not e.null:
                 stores.append((e.addr, e.value, e.width))
         committed_seq = next(iter(entries.values())).seq if entries else 0
         self._poisoned = {(seq, sid) for seq, sid in self._poisoned
@@ -399,7 +404,7 @@ class LoadStoreQueue:
     def _issued_loads_younger_than(self, key: Tuple[int, int]
                                    ) -> List[MemEntry]:
         return [e for e in self._all_entries()
-                if e.kind is MemKind.LOAD and e.order_key > key
+                if e.kind is MEM_LOAD and e.order_key > key
                 and e.issued and not e.null]
 
     # ------------------------------------------------------------------
@@ -860,7 +865,7 @@ class LoadStoreQueue:
         if not entries:
             return 0
         return sum(e.redeliveries for e in entries.values()
-                   if e.kind is MemKind.LOAD)
+                   if e.kind is MEM_LOAD)
 
     def _after_store_event(self, store: MemEntry) -> List[LsqAction]:
         """Wake deferred loads and retry confirmations after a store event."""

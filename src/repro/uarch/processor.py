@@ -35,8 +35,10 @@ from typing import Dict, List, Optional, Tuple
 from ..arch.interp import run_program
 from ..arch.state import ArchState
 from ..arch.trace import ExecutionTrace
-from ..core.node import InstructionNode, NodeState, Outcome, OutcomeKind
-from ..core.tokens import SlotStatus
+from ..core.node import (NODE_EXECUTING, NODE_IDLE, OUT_BRANCH,
+                         OUT_LOAD_REQUEST, OUT_NULL, OUT_STORE_UPDATE,
+                         OUT_VALUE, InstructionNode, Outcome)
+from ..core.tokens import STATUS_EMPTY
 from ..errors import GoldenMismatchError, SimulationError
 from ..isa.program import HALT_LABEL, Program
 from ..spec import build_policy
@@ -406,17 +408,17 @@ class Processor:
                                 continue
                             # Inline ``can_issue`` + ``_begin_issued``
                             # (one signature for the check and the issue).
-                            if node.state is not NodeState.IDLE:
+                            if node.state is not NODE_IDLE:
                                 continue
                             for b in node._buffer_list:
-                                if b._effective.status is SlotStatus.EMPTY:
+                                if b._effective.status is STATUS_EMPTY:
                                     break
                             else:
                                 sig = node.current_signature()
                                 if node.exec_count != 0 \
                                         and sig == node.issued_signature:
                                     continue
-                                node.state = NodeState.EXECUTING
+                                node.state = NODE_EXECUTING
                                 node.issued_signature = sig
                                 node.exec_count += 1
                                 stats.fu_work_issued += 1
@@ -663,9 +665,9 @@ class Processor:
         """
         # Inline ``node.can_issue`` (state + resolution + signature): this
         # runs once per token-buffer change, the highest-frequency event.
-        if node.state is NodeState.IDLE:
+        if node.state is NODE_IDLE:
             for b in node._buffer_list:
-                if b._effective.status is SlotStatus.EMPTY:
+                if b._effective.status is STATUS_EMPTY:
                     break
             else:
                 if node.exec_count == 0 \
@@ -674,12 +676,12 @@ class Processor:
                     return
         if not self._commit_wave:
             return
-        if (node.state is NodeState.IDLE and node.exec_count > 0
+        if (node.state is NODE_IDLE and node.exec_count > 0
                 and node.output_final_ready()):
             self._emit_node_output(frame, node, node.last_outcome,
                                    final=True)
         elif (node.inst.is_store and node.last_outcome is not None
-              and node.last_outcome.kind is OutcomeKind.STORE_UPDATE
+              and node.last_outcome.kind is OUT_STORE_UPDATE
               and node.addr_inputs_final()):
             # Address-only finality: lets the LSQ disambiguate this store
             # against non-overlapping loads before its data commits.
@@ -693,24 +695,24 @@ class Processor:
         if outcome is None:
             return
         inst = node.inst
-        if outcome.kind is OutcomeKind.VALUE:
+        if outcome.kind is OUT_VALUE:
             emission = node.plan_emission(outcome.value, final)
             if emission is not None:
                 wave, value, fin = emission
                 self._fan_out(frame.uid, frame.plan.sends[node.index],
                               node._producer_key, wave, value, fin)
-        elif outcome.kind is OutcomeKind.BRANCH:
+        elif outcome.kind is OUT_BRANCH:
             emission = node.plan_emission(outcome.value, final)
             if emission is not None:
                 wave, value, fin = emission
                 self._send_branch_token(frame, node, wave, value, fin)
-        elif outcome.kind is OutcomeKind.LOAD_REQUEST:
+        elif outcome.kind is OUT_LOAD_REQUEST:
             self._send_load_req(frame, node, outcome.addr, final)
-        elif outcome.kind is OutcomeKind.STORE_UPDATE:
+        elif outcome.kind is OUT_STORE_UPDATE:
             self._send_store_upd(frame, node, outcome.addr,
                                  outcome.store_value, null=False, final=final,
                                  addr_final=node.addr_inputs_final())
-        elif outcome.kind is OutcomeKind.NULL:
+        elif outcome.kind is OUT_NULL:
             if inst.is_store:
                 self._send_store_upd(frame, node, None, None,
                                      null=True, final=final)

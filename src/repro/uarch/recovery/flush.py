@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...core.buffers import SlotStatus
+from ...core.tokens import STATUS_VALUE
 from ..lsq import Violation
 from .base import RecoveryProtocol, register_protocol
 
@@ -33,9 +33,9 @@ class FlushRecovery(RecoveryProtocol):
         # Completion screen: every output slot has a VALUE (this is
         # exactly ``Frame.outputs_produced``, inlined on raw buffer state
         # because it polls every active cycle).
-        if frame.branch_buffer._effective.status is not SlotStatus.VALUE:
+        if frame.branch_buffer._effective.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:
-            if buf._effective.status is not SlotStatus.VALUE:
+            if buf._effective.status is not STATUS_VALUE:
                 return False
         return True

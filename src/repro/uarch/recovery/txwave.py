@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...core.buffers import SlotStatus
+from ...core.tokens import STATUS_VALUE
 from ...isa.program import HALT_LABEL
 from ..lsq import Violation
 from .base import RecoveryProtocol, register_protocol
@@ -69,10 +69,10 @@ class TxWaveRecovery(RecoveryProtocol):
     def _complete(frame) -> bool:
         # The flush completion screen (every output slot holds a VALUE),
         # applied to each epoch member rather than the head alone.
-        if frame.branch_buffer._effective.status is not SlotStatus.VALUE:
+        if frame.branch_buffer._effective.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:
-            if buf._effective.status is not SlotStatus.VALUE:
+            if buf._effective.status is not STATUS_VALUE:
                 return False
         return True
 

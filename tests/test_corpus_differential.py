@@ -6,9 +6,10 @@ Reuses the conformance pattern of ``tests/test_recovery_conformance.py``
 assert the committed architectural state equals the functional
 interpreter's — but over generated corpus programs instead of the
 hand-written kernels, and over every registered point (the legacy five
-plus ``hybrid`` and ``txwave``).  :func:`repro.harness.parallel.execute_cell` *is* the
-differential check (it raises ``GoldenMismatchError`` on divergence), so
-each cell here exercises the exact path sweeps and E9 run in production.
+plus ``hybrid`` and ``txwave``).
+:func:`repro.harness.parallel.execute_cell` *is* the differential check
+(it raises ``GoldenMismatchError`` on divergence), so each cell here
+exercises the exact path sweeps and E9 run in production.
 
 Every failure names the cell's full canonical parameters, so any
 counterexample reproduces exactly from the printed seed/params.  Set

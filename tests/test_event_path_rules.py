@@ -1,0 +1,143 @@
+"""The simulator's per-event code pays plain-Python prices.
+
+Reading an ``Enum`` member through its class (``SlotStatus.EMPTY``)
+costs ~130-160 ns on Python 3.10 and 3.11 against ~5-15 ns for a
+module global.  The per-event modules therefore compare with ``is``
+against module constants bound once beside each enum
+(``STATUS_EMPTY``), and import nothing inside a function.  On 3.12 the
+gap shrinks to ~20 ns, so a throughput gate run there would barely
+notice the rule being broken; this test holds it instead (see
+docs/PERFORMANCE.md §12).
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+from repro.core.buffers import EMPTY_EFFECTIVE, Effective
+from repro.core.node import NodeState, OutcomeKind
+from repro.core.tokens import SlotStatus
+from repro.isa.instruction import Slot
+from repro.uarch.lsq import MemKind
+
+#: Modules whose functions run per simulated event (token deposit,
+#: issue, completion, LSQ action, commit-gate poll).
+EVENT_MODULES = (
+    "repro.core.node",
+    "repro.core.buffers",
+    "repro.uarch.processor",
+    "repro.uarch.lsq",
+    "repro.uarch.frame",
+    "repro.uarch.recovery.flush",
+    "repro.uarch.recovery.txwave",
+)
+
+#: Each guarded enum -> (module binding its members, constant prefix).
+ENUM_CONSTANTS = {
+    SlotStatus: ("repro.core.tokens", "STATUS_"),
+    NodeState: ("repro.core.node", "NODE_"),
+    OutcomeKind: ("repro.core.node", "OUT_"),
+    MemKind: ("repro.uarch.lsq", "MEM_"),
+    Slot: ("repro.isa.instruction", "SLOT_"),
+}
+
+_MEMBERS = {cls.__name__: frozenset(cls.__members__)
+            for cls in ENUM_CONSTANTS}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _owner_name(node: ast.expr):
+    """``SlotStatus`` for ``SlotStatus`` and for ``tokens.SlotStatus``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def event_path_violations(source: str):
+    """Sorted ``(line, what)`` for every guarded enum member read through
+    its class, and every import, inside a function body of ``source``.
+    Module-level and class-level code (constant bindings, dataclass
+    defaults) runs once and is not checked."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                owner = _owner_name(node.value)
+                if node.attr in _MEMBERS.get(owner, ()):
+                    found.add((node.lineno, node.col_offset,
+                               f"{owner}.{node.attr}"))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.add((node.lineno, node.col_offset, "import"))
+    return [(line, what) for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", EVENT_MODULES)
+def test_no_class_qualified_member_reads_or_imports(module):
+    source = inspect.getsource(importlib.import_module(module))
+    violations = event_path_violations(source)
+    assert not violations, (
+        f"{module}: per-event code must read enum members as module "
+        f"constants and import at module level; found "
+        + ", ".join(f"line {line}: {what}" for line, what in violations))
+
+
+@pytest.mark.parametrize("cls", list(ENUM_CONSTANTS),
+                         ids=lambda cls: cls.__name__)
+def test_constants_are_the_members(cls):
+    module_name, prefix = ENUM_CONSTANTS[cls]
+    module = importlib.import_module(module_name)
+    for name, member in cls.__members__.items():
+        assert getattr(module, prefix + name) is member
+
+
+class TestChecker:
+    def test_flags_member_reads_in_functions(self):
+        source = ("def f(s):\n"
+                  "    return s is SlotStatus.EMPTY\n"
+                  "g = lambda k: k is tokens.NodeState.IDLE\n")
+        assert event_path_violations(source) == [
+            (2, "SlotStatus.EMPTY"), (3, "NodeState.IDLE")]
+
+    def test_flags_nested_functions_once(self):
+        source = ("class C:\n"
+                  "    def f(self):\n"
+                  "        def g():\n"
+                  "            return MemKind.LOAD\n"
+                  "        return g\n")
+        assert event_path_violations(source) == [(4, "MemKind.LOAD")]
+
+    def test_flags_imports_in_functions(self):
+        source = ("import enum\n"
+                  "def f():\n"
+                  "    from .node import OutcomeKind\n"
+                  "    return OutcomeKind\n")
+        assert event_path_violations(source) == [(3, "import")]
+
+    def test_ignores_module_level_and_non_members(self):
+        source = ("EMPTY = SlotStatus.EMPTY\n"
+                  "class K:\n"
+                  "    slot: Slot = Slot.OP0\n"
+                  "def f(s):\n"
+                  "    return SlotStatus.__members__, s.EMPTY, Other.IDLE\n")
+        assert event_path_violations(source) == []
+
+
+def test_effective_is_a_plain_slots_class():
+    # A frozen dataclass's __init__ pays one object.__setattr__ per field
+    # on every slot change; the snapshot is a plain __slots__ class.
+    assert not dataclasses.is_dataclass(Effective)
+    assert not hasattr(EMPTY_EFFECTIVE, "__dict__")
+    snapshot = Effective(SlotStatus.VALUE, 7, ("inst", 2), 3)
+    assert (snapshot.status, snapshot.value, snapshot.producer,
+            snapshot.wave) == (SlotStatus.VALUE, 7, ("inst", 2), 3)
+    assert snapshot.resolved
+    assert not EMPTY_EFFECTIVE.resolved
+    assert (EMPTY_EFFECTIVE.value, EMPTY_EFFECTIVE.producer,
+            EMPTY_EFFECTIVE.wave) == (None, None, -1)
