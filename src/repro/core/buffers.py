@@ -1,8 +1,8 @@
-"""Multi-producer token buffers.
+"""Token buffers: the resolved state of one consumption point.
 
 An operand slot may be targeted by several static producers (mutually
-exclusive predicated instructions).  The buffer remembers the *latest* token
-per producer and derives:
+exclusive predicated instructions).  The buffer remembers the *latest*
+token per producer and derives:
 
 * the slot's **effective value** — the non-null token with the highest
   ``(wave, producer order)``, so re-executions supersede earlier waves and
@@ -16,12 +16,28 @@ per producer and derives:
 This one data structure is what makes selective re-execution, predicate
 nullification and the commit wave compose: deposits return whether the
 effective state changed, and the owning node re-fires exactly when it did.
+
+A buffer keeps its resolved state in its own fields, updated in place by
+``deposit4``: ``status``, and while ``status`` is VALUE the effective
+token's ``value``, ``producer`` and ``wave`` (``None``, ``None`` and
+``-1`` otherwise), plus ``final``.  The per-event code reads those
+fields.  Two classes share that layout:
+
+* :class:`SoleBuffer` — a slot with one static producer, the target of
+  nine deposits in ten.  Its fields mirror that producer's latest token,
+  so it keeps no per-producer table.
+* :class:`TokenBuffer` — the general path for any number of producers,
+  with the latest token per producer in a dict.  It is also the
+  reference the sole-producer class is property-tested against
+  (``tests/test_buffers.py``).
+
+:func:`new_buffer` picks the class from the producer count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
 from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
@@ -36,13 +52,12 @@ class _Latest:
 
 
 class Effective:
-    """Snapshot of a slot's resolved state.
+    """Snapshot of a slot's resolved state, built on demand.
 
-    Never mutated: a buffer replaces its snapshot on every change.  A
-    plain ``__slots__`` class, not a frozen dataclass, whose generated
-    ``__init__`` pays one ``object.__setattr__`` per field.  Nothing
-    hashes or compares snapshots; issue signatures hold ``(producer,
-    wave)`` pairs (``InstructionNode.current_signature``).
+    Buffers hold their state in their own fields and the per-event code
+    reads those; ``buffer.effective`` copies them into one of these for
+    cold readers (machine snapshots in ``repro.uarch.events``, tests).
+    A plain ``__slots__`` class.
     """
 
     __slots__ = ("status", "value", "producer", "wave")
@@ -59,13 +74,52 @@ class Effective:
         return self.status is not STATUS_EMPTY
 
 
-EMPTY_EFFECTIVE = Effective(STATUS_EMPTY)
+class _SlotFields:
+    """The resolved-state fields and cold readers both buffers share."""
+
+    __slots__ = ("status", "value", "producer", "wave", "final")
+
+    def reset(self) -> None:
+        """Return to the empty slot: construction and arena recycling.
+
+        Static wiring (the producer keys) survives, so a recycled buffer
+        is indistinguishable from a freshly built one.
+        """
+        self.status = STATUS_EMPTY
+        self.value = None
+        self.producer = None
+        self.wave = -1
+        self.final = False
+
+    @property
+    def effective(self) -> Effective:
+        """A fresh snapshot of the resolved state (cold readers only)."""
+        return Effective(self.status, self.value, self.producer, self.wave)
+
+    @property
+    def resolved(self) -> bool:
+        return self.status is not STATUS_EMPTY
+
+    def is_final(self) -> bool:
+        """True when every producer has committed (sent a final token)."""
+        return self.final
+
+    def deposit(self, token: Token) -> Tuple[bool, bool]:
+        """Absorb a token; return ``(effective_changed, finality_changed)``."""
+        return self.deposit4(token.producer, token.wave, token.value,
+                             token.final)
 
 
-class TokenBuffer:
-    """Latest-token-per-producer buffer for one consumption point."""
+class TokenBuffer(_SlotFields):
+    """Latest-token-per-producer buffer for one consumption point.
 
-    __slots__ = ("_order", "_latest", "_effective", "_final")
+    The general path, for any number of static producers: every deposit
+    re-derives the slot's fields from the per-producer table.  Slots
+    with one producer run on :class:`SoleBuffer` instead; this class is
+    the reference it is tested against.
+    """
+
+    __slots__ = ("_order", "_latest")
 
     def __init__(self, producers: Sequence[ProducerKey]):
         if not producers:
@@ -73,10 +127,7 @@ class TokenBuffer:
         self._order: Dict[ProducerKey, int] = {
             p: n for n, p in enumerate(producers)}
         self._latest: Dict[ProducerKey, _Latest] = {}
-        self._effective: Effective = EMPTY_EFFECTIVE
-        #: Cached finality; ``_latest`` only mutates inside ``deposit``,
-        #: which refreshes this after every change.
-        self._final = False
+        self.reset()
 
     @classmethod
     def from_shared(cls, order: Dict[ProducerKey, int]) -> "TokenBuffer":
@@ -89,27 +140,20 @@ class TokenBuffer:
         buf = cls.__new__(cls)
         buf._order = order
         buf._latest = {}
-        buf._effective = EMPTY_EFFECTIVE
-        buf._final = False
+        buf.reset()
         return buf
 
     # ------------------------------------------------------------------
-
-    def deposit(self, token: Token) -> Tuple[bool, bool]:
-        """Absorb a token; return ``(effective_changed, finality_changed)``."""
-        return self.deposit4(token.producer, token.wave, token.value,
-                             token.final)
 
     def deposit4(self, producer: ProducerKey, wave: int, value: TokenValue,
                  final: bool) -> Tuple[bool, bool]:
         """Scalar-argument :meth:`deposit` — the processor carries token
         fields as flat tuple slots, so the buffer absorbs them without a
-        Token shell.  Semantics are identical: stale tokens
-        (lower wave than already seen from the same producer) are dropped —
-        they lost a race against a newer re-execution.
+        Token shell.  Stale tokens (lower wave than already seen from the
+        same producer) are dropped — they lost a race against a newer
+        re-execution.
         """
         current = self._latest.get(producer)
-        was_final = self._final
         if current is None:
             # A producer in ``_latest`` was necessarily validated on its
             # first deposit, so the membership check is first-token-only.
@@ -117,7 +161,7 @@ class TokenBuffer:
                 raise SimulationError(
                     f"token from unknown producer {producer} "
                     f"(wave {wave}, value {value!r})")
-            current = self._latest[producer] = _Latest(wave, value, final)
+            self._latest[producer] = _Latest(wave, value, final)
         elif wave < current.wave:
             return False, False
         elif wave == current.wave:
@@ -128,35 +172,13 @@ class TokenBuffer:
             if current.final or not final:
                 return False, False
             current.final = True
-            if len(self._order) == 1:
-                # Finality upgrade on the sole producer: the effective
-                # snapshot (status/value/producer/wave) is untouched —
-                # only ``_final`` flips.  Skip the refresh entirely.
-                self._final = True
-                return False, not was_final
         else:
             # Higher wave from a known producer: update in place.
             current.wave = wave
             current.value = value
             current.final = final
-        # Refresh ``_effective`` and ``_final`` in one pass over ``_latest``
-        # (inline: deposit is the only mutation point and the hottest call
-        # in the token path).
+        # Re-derive the resolved state in one pass over ``_latest``.
         order = self._order
-        if len(order) == 1:
-            # Single static producer (the common case): the effective
-            # state mirrors its latest token directly.
-            old = self._effective
-            if current.value is not None:
-                effective = Effective(STATUS_VALUE, current.value,
-                                      producer, current.wave)
-            else:
-                effective = Effective(STATUS_ALL_NULL)
-            self._effective = effective
-            self._final = current.final
-            return ((old.status is not effective.status
-                     or old.value != effective.value),
-                    current.final and not was_final)
         best: Optional[Tuple[int, int]] = None
         best_latest = None
         best_producer: Optional[ProducerKey] = None
@@ -177,56 +199,118 @@ class TokenBuffer:
                 best = key
                 best_latest = latest
                 best_producer = producer
-        old = self._effective
-        if best_producer is not None:
-            effective = Effective(
-                STATUS_VALUE, best_latest.value, best_producer,
-                best_latest.wave)
-        elif nulls == len(order):
-            effective = Effective(STATUS_ALL_NULL)
-        else:
-            effective = EMPTY_EFFECTIVE
         if all_final and non_null_finals > 1:
             raise SimulationError(
                 "slot finalised with more than one non-null producer "
                 "(program has two unconditional writers)")
-        self._effective = effective
-        self._final = all_final
-        return ((old.status is not effective.status
-                 or old.value != effective.value),
+        old_status = self.status
+        old_value = self.value
+        was_final = self.final
+        if best_producer is not None:
+            status = STATUS_VALUE
+            self.value = best_latest.value
+            self.producer = best_producer
+            self.wave = best_latest.wave
+        else:
+            status = STATUS_ALL_NULL if nulls == len(order) else STATUS_EMPTY
+            self.value = None
+            self.producer = None
+            self.wave = -1
+        self.status = status
+        self.final = all_final
+        return ((old_status is not status or old_value != self.value),
                 all_final and not was_final)
 
     def reset(self) -> None:
-        """Return to the just-constructed state (arena recycling).
-
-        The shared producer-order map is read-only and survives; only the
-        per-dynamic-instance token state is dropped, so a recycled buffer
-        is indistinguishable from a freshly built one.
-        """
+        # The shared producer-order map is read-only and survives.
         self._latest.clear()
-        self._effective = EMPTY_EFFECTIVE
-        self._final = False
-
-    # ------------------------------------------------------------------
-
-    @property
-    def effective(self) -> Effective:
-        return self._effective
-
-    @property
-    def resolved(self) -> bool:
-        return self._effective.resolved
-
-    def is_final(self) -> bool:
-        """True when every producer has committed (sent a final token)."""
-        return self._final
-
-    def final_effective(self) -> Effective:
-        """The effective value once final (callers must check is_final)."""
-        return self._effective
+        _SlotFields.reset(self)
 
     def producers(self) -> List[ProducerKey]:
         return list(self._order)
 
     def __len__(self) -> int:
         return len(self._order)
+
+
+class SoleBuffer(_SlotFields):
+    """A consumption point with exactly one static producer.
+
+    Behaves exactly like ``TokenBuffer([key])`` — same ``(changed,
+    finality)`` answers, same errors, same fields after every deposit —
+    without the per-producer dict: the resolved state *is* the producer's
+    latest token.  EMPTY means no token has arrived; ``_seen`` holds the
+    latest token's wave, which ``wave`` does not while the slot is
+    ALL_NULL.
+    """
+
+    __slots__ = ("_key", "_seen")
+
+    def __init__(self, key: ProducerKey):
+        self._key = key
+        self._seen = -1
+        self.reset()
+
+    def deposit4(self, producer: ProducerKey, wave: int, value: TokenValue,
+                 final: bool) -> Tuple[bool, bool]:
+        """:meth:`TokenBuffer.deposit4` for one producer."""
+        if producer != self._key:
+            raise SimulationError(
+                f"token from unknown producer {producer} "
+                f"(wave {wave}, value {value!r})")
+        status = self.status
+        if status is not STATUS_EMPTY:
+            seen = self._seen
+            if wave < seen:
+                return False, False
+            if wave == seen:
+                if self.value != value:
+                    raise SimulationError(
+                        f"producer {producer} sent two different values "
+                        f"at wave {wave}")
+                if self.final or not final:
+                    return False, False
+                # Finality upgrade: only ``final`` flips.
+                self.final = True
+                return False, True
+        finality = final and not self.final
+        self._seen = wave
+        self.final = final
+        if value is None:
+            if status is STATUS_ALL_NULL:
+                return False, finality
+            self.status = STATUS_ALL_NULL
+            self.value = None
+            self.producer = None
+            self.wave = -1
+            return True, finality
+        changed = status is not STATUS_VALUE or self.value != value
+        self.status = STATUS_VALUE
+        self.value = value
+        self.producer = producer
+        self.wave = wave
+        return changed, finality
+
+    def producers(self) -> List[ProducerKey]:
+        return [self._key]
+
+    def __len__(self) -> int:
+        return 1
+
+
+#: Either buffer class; both carry the same resolved-state fields.
+SlotBuffer = Union[TokenBuffer, SoleBuffer]
+
+
+def new_buffer(order: Dict[ProducerKey, int]) -> SlotBuffer:
+    """The buffer for a slot whose producers are ``order``'s keys.
+
+    ``order`` is a (possibly shared, read-only) producer -> position map;
+    a single producer gets a :class:`SoleBuffer`.
+    """
+    if len(order) == 1:
+        (key,) = order
+        return SoleBuffer(key)
+    if not order:
+        raise SimulationError("token buffer with no static producers")
+    return TokenBuffer.from_shared(order)

@@ -1,7 +1,7 @@
 """Per-instruction dataflow node: the selective re-execution state machine.
 
 A node wraps one mapped instruction of one in-flight frame.  It owns a
-:class:`~repro.core.buffers.TokenBuffer` per required operand slot and
+token buffer (:mod:`repro.core.buffers`) per required operand slot and
 implements the three rules of the DSRE protocol:
 
 **Fire rule** — a node issues when every required slot is resolved and its
@@ -36,7 +36,7 @@ from ..isa.opcodes import Opcode
 from ..isa.semantics import alu_callable, effective_address
 from ..isa.values import WORD_MASK
 from ..isa.values import is_true, to_unsigned
-from .buffers import EMPTY_EFFECTIVE, Effective, TokenBuffer
+from .buffers import SlotBuffer, new_buffer
 from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
                      ProducerKey, Token, TokenValue)
 
@@ -133,13 +133,14 @@ class InstructionNode:
         self.frame_uid = frame_uid
         self.index = index
         self.inst = inst
-        buffers: Dict[Slot, TokenBuffer] = {}
+        buffers: Dict[Slot, SlotBuffer] = {}
         for slot in inst.required_slots():
             producers = slot_producers.get(slot)
             if not producers:
                 raise SimulationError(
                     f"I{index} slot {slot.name} mapped with no producers")
-            buffers[slot] = TokenBuffer(producers)
+            buffers[slot] = new_buffer(
+                {p: n for n, p in enumerate(producers)})
         self._buffers = buffers
         self._finish_init()
 
@@ -152,9 +153,9 @@ class InstructionNode:
         ``slot_orders`` is a tuple of (slot value, shared producer-order
         dict) pairs in slot-value order — see :func:`build_node_template`.
         Mapping a frame builds every node of the block through here, so
-        this duplicates ``_finish_init`` inline (and builds the buffers by
-        hand) rather than paying per-node calls; the ``buffers`` dict view
-        is materialised lazily (cold paths only).
+        this duplicates ``_finish_init`` inline rather than paying
+        per-node calls; the ``buffers`` dict view is materialised lazily
+        (cold paths only).
         """
         node = cls.__new__(cls)
         node.frame_uid = frame_uid
@@ -162,13 +163,8 @@ class InstructionNode:
         node.inst = inst
         buffer_list = []
         buf_by_val = {}
-        new_buf = TokenBuffer.__new__
         for val, order in slot_orders:
-            buf = new_buf(TokenBuffer)
-            buf._order = order
-            buf._latest = {}
-            buf._effective = EMPTY_EFFECTIVE
-            buf._final = False
+            buf = new_buffer(order)
             buffer_list.append(buf)
             buf_by_val[val] = buf
         node._buffers = None
@@ -196,7 +192,7 @@ class InstructionNode:
         return node
 
     @property
-    def buffers(self) -> Dict[Slot, TokenBuffer]:
+    def buffers(self) -> Dict[Slot, SlotBuffer]:
         """Slot -> buffer mapping (cold paths; built lazily per node)."""
         d = self._buffers
         if d is None:
@@ -251,9 +247,7 @@ class InstructionNode:
         self.frame_uid = frame_uid
         self.life += 1
         for buffer in self._buffer_list:
-            buffer._latest.clear()
-            buffer._effective = EMPTY_EFFECTIVE
-            buffer._final = False
+            buffer.reset()
         self._sig_cache = None
         self.state = NODE_IDLE
         self.exec_count = 0
@@ -283,15 +277,9 @@ class InstructionNode:
         effective_changed, finality_changed = buffer.deposit(token)
         return effective_changed or finality_changed
 
-    def all_resolved(self) -> bool:
-        for b in self._buffer_list:
-            if b._effective.status is STATUS_EMPTY:
-                return False
-        return True
-
     def inputs_final(self) -> bool:
         for b in self._buffer_list:
-            if not b._final:
+            if not b.final:
                 return False
         return True
 
@@ -307,9 +295,8 @@ class InstructionNode:
         # signatures of the same node is unchanged by the slimmer shape.
         parts = []
         for buffer in self._buffer_list:
-            eff = buffer._effective
-            if eff.status is STATUS_VALUE:
-                parts.append((eff.producer, eff.wave))
+            if buffer.status is STATUS_VALUE:
+                parts.append((buffer.producer, buffer.wave))
             else:
                 parts.append(None)
         sig = tuple(parts)
@@ -324,7 +311,7 @@ class InstructionNode:
         if self.state is not NODE_IDLE:
             return False
         for b in self._buffer_list:
-            if b._effective.status is STATUS_EMPTY:
+            if b.status is STATUS_EMPTY:
                 return False
         return self.exec_count == 0 \
             or self.current_signature() != self.issued_signature
@@ -359,26 +346,14 @@ class InstructionNode:
             self.exec_useful += 1
         return outcome
 
-    def needs_reissue(self) -> bool:
-        """Did the inputs change while the node was executing?"""
-        return self.can_issue()
-
-    def _effective(self, slot: Slot) -> Effective:
-        return self.buffers[slot].effective
-
-    def _value(self, slot: Slot) -> int:
-        eff = self._effective(slot)
-        return eff.value if eff.status is STATUS_VALUE else 0
-
-    def _buf_value(self, buffer: Optional[TokenBuffer], slot: Slot) -> int:
+    def _buf_value(self, buffer: Optional[SlotBuffer], slot: Slot) -> int:
         if buffer is None:
             raise KeyError(slot)
-        eff = buffer._effective
-        return eff.value if eff.status is STATUS_VALUE else 0
+        return buffer.value if buffer.status is STATUS_VALUE else 0
 
     def _compute_outcome(self) -> Outcome:
         for buffer in self._buffer_list:
-            if buffer._effective.status is STATUS_ALL_NULL:
+            if buffer.status is STATUS_ALL_NULL:
                 return _NULL_OUTCOME
         # Static per-instruction dispatch data, precomputed once (see
         # ``_exec_plan``): avoids the opcode-property chain per execution.
@@ -458,7 +433,7 @@ class InstructionNode:
         if self.issued_signature != self.current_signature():
             return False
         for buffer in (self._op0_buf, self._pred_buf):
-            if buffer is not None and not buffer._final:
+            if buffer is not None and not buffer.final:
                 return False
         return True
 

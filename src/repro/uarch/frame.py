@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.buffers import TokenBuffer
+from ..core.buffers import SlotBuffer, new_buffer
 from ..core.node import OUT_NULL, InstructionNode, build_node_template
 from ..core.tokens import STATUS_VALUE
 from ..errors import SimulationError
@@ -88,8 +88,8 @@ class Frame:
                                           pkey, sig_slots)
             for idx, inst, orders, plan, pkey, sig_slots in node_templates]
 
-        self.write_buffers: List[TokenBuffer] = [
-            TokenBuffer.from_shared(order) for order in write_orders]
+        self.write_buffers: List[SlotBuffer] = [
+            new_buffer(order) for order in write_orders]
         #: Last (value, final) forwarded per write slot, and its wave.
         self.write_forwarded: List[Optional[Tuple[int, bool]]] = (
             [None] * len(block.writes))
@@ -97,7 +97,7 @@ class Frame:
         #: Younger frame uids subscribed to each write slot.
         self.subscribers: List[List[int]] = [[] for _ in block.writes]
 
-        self.branch_buffer = TokenBuffer.from_shared(branch_order)
+        self.branch_buffer = new_buffer(branch_order)
 
         self.read_sources: List[ReadSource] = []
         self.read_forwards: List[ReadForward] = [
@@ -160,24 +160,22 @@ class Frame:
 
     @property
     def branch_label(self) -> Optional[str]:
-        eff = self.branch_buffer.effective
-        if eff.status is STATUS_VALUE:
-            return eff.value
-        return None
+        # A buffer's ``value`` is None unless its status is VALUE.
+        return self.branch_buffer.value
 
     def branch_final(self) -> bool:
-        if not self.branch_buffer.is_final():
+        if not self.branch_buffer.final:
             return False
-        if self.branch_buffer.effective.status is not STATUS_VALUE:
+        if self.branch_buffer.status is not STATUS_VALUE:
             raise SimulationError(
                 f"frame {self.uid} ({self.block.name}): no branch fired")
         return True
 
     def writes_final(self) -> bool:
         for wi, buffer in enumerate(self.write_buffers):
-            if not buffer.is_final():
+            if not buffer.final:
                 return False
-            if buffer.effective.status is not STATUS_VALUE:
+            if buffer.status is not STATUS_VALUE:
                 raise SimulationError(
                     f"frame {self.uid} ({self.block.name}): write slot "
                     f"W{wi} finalised all-null")
@@ -196,11 +194,10 @@ class Frame:
         """
         if self.branch_label is None:
             return False
-        return all(b.effective.status is STATUS_VALUE
-                   for b in self.write_buffers)
+        return all(b.status is STATUS_VALUE for b in self.write_buffers)
 
     def final_reg_writes(self) -> Dict[int, int]:
-        return {self.block.writes[wi].reg: buf.effective.value
+        return {self.block.writes[wi].reg: buf.value
                 for wi, buf in enumerate(self.write_buffers)}
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -104,9 +104,14 @@ class MemEntry:
     #: confirmation may never undercut this (no free cache bypass).
     value_ready_at: int = 0
 
-    @property
-    def order_key(self) -> Tuple[int, int]:
-        return (self.seq, self.lsid)
+    #: ``(seq, lsid)``: the entry's place in sequential memory order.
+    #: Every ordering query reads it, so it is built once, here, rather
+    #: than per read (``seq`` and ``lsid`` never change).
+    order_key: Tuple[int, int] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        self.order_key = (self.seq, self.lsid)
 
     @property
     def store_resolved(self) -> bool:
@@ -400,12 +405,6 @@ class LoadStoreQueue:
         if newest_first:
             stores.reverse()
         return stores
-
-    def _issued_loads_younger_than(self, key: Tuple[int, int]
-                                   ) -> List[MemEntry]:
-        return [e for e in self._all_entries()
-                if e.kind is MEM_LOAD and e.order_key > key
-                and e.issued and not e.null]
 
     # ------------------------------------------------------------------
     # Index maintenance

@@ -201,9 +201,17 @@ class Processor:
         #: protocols need finality upgrades and store address-finality
         #: notices; completion-gated ones have no use for either.
         self._commit_wave = self.protocol.requires_commit_wave
-        #: The protocol's commit gate, bound once — polled every active
-        #: cycle in ``_tick_commit``.
+        #: The protocol's commit gate, bound once — polled by
+        #: ``_tick_commit`` while the commit signal is raised.
         self._outputs_ready = self.protocol.frame_outputs_ready
+        #: "The commit gate may have opened."  Raised by the events that
+        #: can open a built-in gate — a write-slot or branch deposit that
+        #: changed the slot, and an LSQ delivery — and cleared only by a
+        #: poll that finds the gate shut, so a committing poll leaves it
+        #: raised for the next head.  ``run`` polls only while it is
+        #: raised.  Part of the protocol-facing surface: a gate that
+        #: reads other state must raise it (docs/PROTOCOL.md §2-§3).
+        self.commit_signal = False
         #: Epoch seam: frame-seq -> epoch mapping, bound once (the
         #: degenerate mapping is identity, so per-frame commit is the
         #: epoch-of-one special case).
@@ -256,10 +264,13 @@ class Processor:
         tick tiles / fetch / commit, check progress) is written out inline:
         on serial kernels the loop body runs once per simulated cycle and
         the call overhead of phase helpers is measurable.  The delivery
-        sweep and the tile walk exist only here.
+        sweep and the tile walk exist only here.  Fetch and commit are
+        entered only when they can act: fetch when a block has arrived or
+        one can start, commit while the commit signal is raised.
         """
         config = self.config
         max_cycles = config.max_cycles
+        max_frames = config.max_frames
         watchdog = config.watchdog_cycles
         bandwidth = config.port_bandwidth
         lsq = self.lsq
@@ -343,6 +354,7 @@ class Processor:
                                                  msg[5], msg[6])
                     elif code == 3:               # load request / null
                         if msg[2] in frames_by_uid:
+                            self.commit_signal = True
                             if msg[4] is None:
                                 actions = lsq.load_null(msg[2], msg[3],
                                                         msg[5], msg[6])
@@ -352,6 +364,7 @@ class Processor:
                             self._process_lsq_actions(actions)
                     elif code == 4:               # store update
                         if msg[2] in frames_by_uid:
+                            self.commit_signal = True
                             self._process_lsq_actions(lsq.store_update(
                                 msg[2], msg[3], msg[4], msg[5], msg[6],
                                 msg[7], null=msg[8], addr_final=msg[9]))
@@ -384,10 +397,32 @@ class Processor:
                         stats.executions += 1
                         if node.exec_count > 1:
                             stats.reexecutions += 1
-                        final = node.output_final_ready()
-                        self._emit_node_output(frame, node, outcome, final)
-                        if node.needs_reissue():
-                            self._enqueue(frame, node)
+                        # One signature comparison decides both the
+                        # commit rule and re-issue.  Emitting only sends
+                        # (arrivals land at now + 1 or later), so the
+                        # buffers and the signature are the same before
+                        # and after it.  Unchanged: final once every
+                        # input is, nothing to re-issue.  Changed: not
+                        # final, re-issue once every slot resolves.
+                        sig = node._sig_cache
+                        if sig is None:
+                            sig = node.current_signature()
+                        if sig == node.issued_signature:
+                            final = True
+                            for b in node._buffer_list:
+                                if not b.final:
+                                    final = False
+                                    break
+                            self._emit_node_output(frame, node, outcome,
+                                                   final)
+                        else:
+                            self._emit_node_output(frame, node, outcome,
+                                                   False)
+                            for b in node._buffer_list:
+                                if b.status is STATUS_EMPTY:
+                                    break
+                            else:
+                                self._enqueue(frame, node)
                     ready = tile._ready
                     if ready:
                         queued = tile._queued
@@ -411,7 +446,7 @@ class Processor:
                             if node.state is not NODE_IDLE:
                                 continue
                             for b in node._buffer_list:
-                                if b._effective.status is STATUS_EMPTY:
+                                if b.status is STATUS_EMPTY:
                                     break
                             else:
                                 sig = node.current_signature()
@@ -446,9 +481,14 @@ class Processor:
                             active_tiles.discard(index)
 
             inflight = self.fetch_inflight
-            if inflight is None or cycle >= inflight[1]:
+            if inflight is None:
+                if (self.fetch_target != HALT_LABEL
+                        and len(self.frames) < max_frames):
+                    self._tick_fetch()
+            elif cycle >= inflight[1]:
                 self._tick_fetch()
-            if self.frames and self.cycle >= self.commit_ready_cycle:
+            if (self.commit_signal and self.frames
+                    and cycle >= self.commit_ready_cycle):
                 self._tick_commit()
             # Progress check (watchdog + next-event memo for the advance
             # at the top of the next iteration).
@@ -667,7 +707,7 @@ class Processor:
         # runs once per token-buffer change, the highest-frequency event.
         if node.state is NODE_IDLE:
             for b in node._buffer_list:
-                if b._effective.status is STATUS_EMPTY:
+                if b.status is STATUS_EMPTY:
                     break
             else:
                 if node.exec_count == 0 \
@@ -775,10 +815,10 @@ class Processor:
         changed, finality = buffer.deposit4(producer, wave, value, final)
         if not (changed or finality):
             return
-        eff = buffer.effective
-        if eff.value is None:
+        self.commit_signal = True
+        if buffer.value is None:
             return
-        state = (eff.value, buffer.is_final())
+        state = (buffer.value, buffer.final)
         if frame.write_forwarded[wi] == state:
             return
         old = frame.write_forwarded[wi]
@@ -793,11 +833,12 @@ class Processor:
 
     def _deposit_branch(self, frame: Frame, producer, wave: int, value,
                         final: bool) -> None:
-        changed, finality = frame.branch_buffer.deposit4(
-            producer, wave, value, final)
+        buffer = frame.branch_buffer
+        changed, finality = buffer.deposit4(producer, wave, value, final)
         if not (changed or finality):
             return
-        label = frame.branch_label
+        self.commit_signal = True
+        label = buffer.value
         if label is None:
             return
         self._resolve_branch(frame, label, wave=wave)
@@ -849,24 +890,28 @@ class Processor:
     # ==================================================================
 
     def _tick_fetch(self) -> None:
-        if self.fetch_inflight is not None:
-            name, ready = self.fetch_inflight
-            if self.cycle >= ready:
-                if len(self.frames) < self.config.max_frames:
-                    self.fetch_inflight = None
-                    self._map_frame(name)
-                else:
-                    self.stats.fetch_stall_cycles += 1
+        """Act on the fetch engine.
+
+        ``run`` calls this only when it can act: the in-flight block has
+        arrived (map it, or count a stall cycle while the window is
+        full), or nothing is in flight, the window has room and the
+        target is not HALT (start a fetch).
+        """
+        inflight = self.fetch_inflight
+        if inflight is not None:
+            if len(self.frames) < self.config.max_frames:
+                self.fetch_inflight = None
+                self._map_frame(inflight[0])
+            else:
+                self.stats.fetch_stall_cycles += 1
             return
-        if (self.fetch_target != HALT_LABEL
-                and len(self.frames) < self.config.max_frames):
-            penalty = self.config.block_fetch_cycles \
-                + self.icache.access(self.fetch_target)
-            self.fetch_inflight = (self.fetch_target, self.cycle + penalty)
-            hooks = self.hooks
-            if hooks is not None:
-                hooks.on_fetch(self.cycle, self.fetch_target,
-                               self.cycle + penalty)
+        penalty = self.config.block_fetch_cycles \
+            + self.icache.access(self.fetch_target)
+        self.fetch_inflight = (self.fetch_target, self.cycle + penalty)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.on_fetch(self.cycle, self.fetch_target,
+                           self.cycle + penalty)
 
     def _map_frame(self, name: str) -> None:
         block = self.program.block(name)
@@ -1025,17 +1070,20 @@ class Processor:
     # ==================================================================
 
     def _tick_commit(self) -> None:
-        frames = self.frames
-        if not frames or self.cycle < self.commit_ready_cycle:
-            return
-        head = frames[0]
-        # The protocol's frame-level gate (bound once at construction),
-        # then the LSQ's per-entry memory gate.
-        if not self._outputs_ready(head):
-            return
-        if not self.lsq.frame_mem_final(head.uid):
-            return
-        self._commit(head)
+        """Poll the oldest frame's commit gate; commit it if open.
+
+        ``run`` calls this while the commit signal is raised, frames are
+        in flight and the store drain is done.  The gate is the
+        protocol's frame-level check (bound once at construction), then
+        the LSQ's per-entry memory check.  A shut gate clears the
+        signal; the next event that can open it raises it again.  A
+        commit leaves it raised: the new head's gate may be open already.
+        """
+        head = self.frames[0]
+        if self._outputs_ready(head) and self.lsq.frame_mem_final(head.uid):
+            self._commit(head)
+        else:
+            self.commit_signal = False
 
     def _commit(self, head: Frame) -> None:
         label = head.branch_label

@@ -35,9 +35,9 @@ class DsreRecovery(RecoveryProtocol):
         # cycle and almost always fails here.  Once everything is final,
         # ``outputs_final`` revalidates (and raises on a finalised
         # all-null slot exactly as before the screen existed).
-        if not frame.branch_buffer._final:
+        if not frame.branch_buffer.final:
             return False
         for buf in frame.write_buffers:
-            if not buf._final:
+            if not buf.final:
                 return False
         return frame.outputs_final()

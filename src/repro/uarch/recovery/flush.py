@@ -33,9 +33,9 @@ class FlushRecovery(RecoveryProtocol):
         # Completion screen: every output slot has a VALUE (this is
         # exactly ``Frame.outputs_produced``, inlined on raw buffer state
         # because it polls every active cycle).
-        if frame.branch_buffer._effective.status is not STATUS_VALUE:
+        if frame.branch_buffer.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:
-            if buf._effective.status is not STATUS_VALUE:
+            if buf.status is not STATUS_VALUE:
                 return False
         return True

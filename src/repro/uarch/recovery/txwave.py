@@ -69,10 +69,10 @@ class TxWaveRecovery(RecoveryProtocol):
     def _complete(frame) -> bool:
         # The flush completion screen (every output slot holds a VALUE),
         # applied to each epoch member rather than the head alone.
-        if frame.branch_buffer._effective.status is not STATUS_VALUE:
+        if frame.branch_buffer.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:
-            if buf._effective.status is not STATUS_VALUE:
+            if buf.status is not STATUS_VALUE:
                 return False
         return True
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buffers import TokenBuffer
+from repro.core.buffers import SoleBuffer, TokenBuffer, new_buffer
 from repro.core.tokens import SlotStatus, Token, inst_dest
 from repro.errors import SimulationError
 from repro.isa.instruction import Slot
@@ -187,3 +187,69 @@ class TestConvergenceProperty:
             assert buf.effective.value == winners[0]
         else:
             assert buf.effective.status is SlotStatus.ALL_NULL
+
+
+def _slot_state(buf):
+    return (buf.status, buf.value, buf.producer, buf.wave, buf.final)
+
+
+def _outcome(buf, token):
+    try:
+        return buf.deposit4(*token)
+    except SimulationError as exc:
+        return ("raised", str(exc))
+
+
+#: One stream of deposits to a one-producer slot: small wave and value
+#: ranges make rising, stale and repeated waves, NULLs, finality
+#: upgrades and regressions, and a second value at one wave all common;
+#: ``P2`` is the unknown producer, anywhere in the stream.
+sole_streams = st.lists(
+    st.tuples(st.sampled_from([P1, P1, P1, P2]),
+              st.integers(min_value=0, max_value=4),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
+              st.booleans()),
+    max_size=14)
+
+
+class TestSoleBuffer:
+    @given(sole_streams)
+    def test_matches_the_general_path(self, stream):
+        """A sole-producer buffer answers every deposit exactly as the
+        general per-producer path does: same ``(changed, finality)``,
+        same errors, same slot state afterwards."""
+        sole, general = SoleBuffer(P1), TokenBuffer([P1])
+        assert _slot_state(sole) == _slot_state(general)
+        for token in stream:
+            assert _outcome(sole, token) == _outcome(general, token), token
+            assert _slot_state(sole) == _slot_state(general), token
+            assert sole.effective.resolved == general.effective.resolved
+
+    def test_stream_strategy_reaches_every_case(self):
+        """The strategy above can draw each case the docstring names."""
+        sole = SoleBuffer(P1)
+        assert sole.deposit4(P1, 2, None, False) == (True, False)  # NULL
+        assert sole.deposit4(P1, 1, 5, False) == (False, False)    # stale
+        assert sole.deposit4(P1, 2, None, True) == (False, True)   # upgrade
+        assert sole.deposit4(P1, 3, 4, False) == (True, False)     # regress
+        assert sole.deposit4(P1, 3, 4, False) == (False, False)    # repeat
+        with pytest.raises(SimulationError, match="two different"):
+            sole.deposit4(P1, 3, 2, False)
+        with pytest.raises(SimulationError, match="unknown producer"):
+            sole.deposit4(P2, 4, 1, False)
+
+    def test_reset_restores_the_empty_slot(self):
+        for buf in (SoleBuffer(P1), TokenBuffer([P1, P2])):
+            fresh = _slot_state(buf)
+            buf.deposit4(P1, 1, 7, True)
+            buf.reset()
+            assert _slot_state(buf) == fresh
+            assert buf.deposit4(P1, 1, 7, False) == (True, False)
+
+    def test_new_buffer_picks_the_class(self):
+        assert isinstance(new_buffer({P1: 0}), SoleBuffer)
+        shared = {P1: 0, P2: 1}
+        buf = new_buffer(shared)
+        assert isinstance(buf, TokenBuffer) and buf._order is shared
+        with pytest.raises(SimulationError, match="no static producers"):
+            new_buffer({})

@@ -8,6 +8,12 @@ against module constants bound once beside each enum
 gap shrinks to ~20 ns, so a throughput gate run there would barely
 notice the rule being broken; this test holds it instead (see
 docs/PERFORMANCE.md §12).
+
+A token buffer keeps its slot state in its own fields, and the
+per-event code reads those: no function there reads a buffer's
+``.effective`` snapshot or builds an ``Effective``, and
+``MemEntry.order_key`` is stored once rather than rebuilt per read
+(docs/PERFORMANCE.md §13).
 """
 
 import ast
@@ -17,11 +23,11 @@ import inspect
 
 import pytest
 
-from repro.core.buffers import EMPTY_EFFECTIVE, Effective
+from repro.core.buffers import Effective, SoleBuffer, TokenBuffer
 from repro.core.node import NodeState, OutcomeKind
 from repro.core.tokens import SlotStatus
 from repro.isa.instruction import Slot
-from repro.uarch.lsq import MemKind
+from repro.uarch.lsq import MemEntry, MemKind
 
 #: Modules whose functions run per simulated event (token deposit,
 #: issue, completion, LSQ action, commit-gate poll).
@@ -78,6 +84,62 @@ def event_path_violations(source: str):
     return [(line, what) for line, _, what in sorted(found)]
 
 
+#: Attribute reads that fetch a slot snapshot, and the names that build
+#: or share one.
+_SNAPSHOT_ATTRS = frozenset({"effective", "_effective"})
+_SNAPSHOT_NAMES = frozenset({"Effective", "EMPTY_EFFECTIVE"})
+
+#: The one function allowed to build a snapshot: the ``effective``
+#: property that copies a buffer's fields for cold readers.
+SNAPSHOT_ALLOWED = {"repro.core.buffers": frozenset({"effective"})}
+
+
+def snapshot_violations(source: str, exempt=frozenset()):
+    """Sorted ``(line, what)`` for every ``.effective``/``._effective``
+    read and every use of ``Effective``/``EMPTY_EFFECTIVE`` in a
+    function body of ``source``, outside the functions named in
+    ``exempt``.  Signatures (annotations) are not bodies and are not
+    checked."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, _FUNCTIONS) or getattr(
+                func, "name", None) in exempt:
+            continue
+        body = func.body if isinstance(func.body, list) else [func.body]
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    if node.attr in _SNAPSHOT_ATTRS:
+                        found.add((node.lineno, node.col_offset,
+                                   f".{node.attr}"))
+                    elif node.attr in _SNAPSHOT_NAMES:
+                        found.add((node.lineno, node.col_offset, node.attr))
+                elif isinstance(node, ast.Name) and node.id in _SNAPSHOT_NAMES:
+                    found.add((node.lineno, node.col_offset, node.id))
+    return [(line, what) for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", EVENT_MODULES)
+def test_no_slot_snapshots_on_the_event_path(module):
+    source = inspect.getsource(importlib.import_module(module))
+    violations = snapshot_violations(
+        source, SNAPSHOT_ALLOWED.get(module, frozenset()))
+    assert not violations, (
+        f"{module}: per-event code must read a buffer's own fields "
+        f"(status, value, producer, wave, final), not a snapshot; found "
+        + ", ".join(f"line {line}: {what}" for line, what in violations))
+
+
+def test_order_key_is_a_stored_slot():
+    # A property would build the (seq, lsid) tuple on every read.
+    assert not isinstance(inspect.getattr_static(MemEntry, "order_key"),
+                          property)
+    assert "order_key" in MemEntry.__slots__
+    entry = MemEntry(4, 9, 2, MemKind.STORE, ("b", 2), 8)
+    assert entry.order_key == (9, 2)
+    assert entry.order_key is entry.order_key
+
+
 @pytest.mark.parametrize("module", EVENT_MODULES)
 def test_no_class_qualified_member_reads_or_imports(module):
     source = inspect.getsource(importlib.import_module(module))
@@ -128,16 +190,41 @@ class TestChecker:
                   "    return SlotStatus.__members__, s.EMPTY, Other.IDLE\n")
         assert event_path_violations(source) == []
 
+    def test_flags_snapshot_reads_and_builds(self):
+        source = ("def f(b, n):\n"
+                  "    x = b.effective.status\n"
+                  "    y = n._buffer_list[0]._effective\n"
+                  "    return Effective(x), buffers.EMPTY_EFFECTIVE\n"
+                  "g = lambda b: b.effective\n")
+        assert snapshot_violations(source) == [
+            (2, ".effective"), (3, "._effective"), (4, "Effective"),
+            (4, "EMPTY_EFFECTIVE"), (5, ".effective")]
+
+    def test_snapshot_scan_skips_exempt_bodies_and_signatures(self):
+        source = ("SHARED = Effective(None)\n"
+                  "class B:\n"
+                  "    @property\n"
+                  "    def effective(self):\n"
+                  "        return Effective(self.status)\n"
+                  "    def read(self, other) -> Effective:\n"
+                  "        return self.status, other.effective_address\n")
+        assert snapshot_violations(source, frozenset({"effective"})) == []
+        assert snapshot_violations(source) == [(5, "Effective")]
+
 
 def test_effective_is_a_plain_slots_class():
-    # A frozen dataclass's __init__ pays one object.__setattr__ per field
-    # on every slot change; the snapshot is a plain __slots__ class.
+    # A frozen dataclass's __init__ pays one object.__setattr__ per field;
+    # the on-demand snapshot is a plain __slots__ class.
     assert not dataclasses.is_dataclass(Effective)
-    assert not hasattr(EMPTY_EFFECTIVE, "__dict__")
     snapshot = Effective(SlotStatus.VALUE, 7, ("inst", 2), 3)
+    assert not hasattr(snapshot, "__dict__")
     assert (snapshot.status, snapshot.value, snapshot.producer,
             snapshot.wave) == (SlotStatus.VALUE, 7, ("inst", 2), 3)
     assert snapshot.resolved
-    assert not EMPTY_EFFECTIVE.resolved
-    assert (EMPTY_EFFECTIVE.value, EMPTY_EFFECTIVE.producer,
-            EMPTY_EFFECTIVE.wave) == (None, None, -1)
+    for buffer in (SoleBuffer(("inst", 2)),
+                   TokenBuffer([("inst", 2), ("inst", 3)])):
+        empty = buffer.effective
+        assert not empty.resolved
+        assert (empty.status, empty.value, empty.producer,
+                empty.wave) == (SlotStatus.EMPTY, None, None, -1)
+        assert not hasattr(buffer, "__dict__")

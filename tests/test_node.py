@@ -72,7 +72,7 @@ class TestFireRule:
         feed(node, Slot.OP0, 4, wave=2)
         assert not node.can_issue()           # still executing
         node.complete_execution()
-        assert node.needs_reissue()
+        assert node.can_issue()               # inputs changed meanwhile
 
     def test_double_issue_rejected(self):
         node = make_node()
