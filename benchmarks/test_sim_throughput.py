@@ -13,10 +13,13 @@ here make the full-scale harness painful, so this file does two jobs:
 
 Raw inst/s numbers are machine-dependent, so the regression gate compares
 *normalized* throughput: the simulator's committed-instructions/sec divided
-by the functional interpreter's instructions/sec measured in the same
-process.  Both are pure Python, so the ratio cancels most of the host-speed
-difference between the machine that recorded the baseline and the machine
-running the check.
+by the reference functional interpreter's instructions/sec measured in the
+same process.  Both are pure Python, so the ratio cancels most of the
+host-speed difference between the machine that recorded the baseline and
+the machine running the check.  The yardstick is
+:mod:`repro.arch.interp_ref`, the interpreter the baseline was recorded
+against, not the compiled golden model production runs: a faster golden
+model must not move the gate.
 
 Environment knobs:
 
@@ -32,7 +35,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.arch import run_program
+from repro.arch import interp_ref, run_program
 from repro.harness import (ParallelRunner, SweepPlan, arch_state_digest,
                            reset_golden_memo)
 from repro.harness.runner import POINT_ORDER, golden_of, run_point
@@ -57,13 +60,14 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_sim.json"
 
 
 def _calibration_rate() -> float:
-    """Functional-interpreter inst/s: the host-speed yardstick."""
+    """Reference-interpreter inst/s: the host-speed yardstick."""
     instance = KERNELS["dotprod"].build(800)
-    run_program(instance.program, instance.initial_regs)        # warm
+    interp_ref.run_program(instance.program, instance.initial_regs)  # warm
     best = None
     for _ in range(3):
         t0 = time.perf_counter()
-        trace, _ = run_program(instance.program, instance.initial_regs)
+        trace, _ = interp_ref.run_program(instance.program,
+                                          instance.initial_regs)
         dt = time.perf_counter() - t0
         if best is None or dt < best:
             best = dt

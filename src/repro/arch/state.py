@@ -42,9 +42,6 @@ class ArchState:
         clone.memory = self.memory.copy()
         return clone
 
-    def same_registers(self, other: "ArchState") -> bool:
-        return self.regs == other.regs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchState):
             return NotImplemented

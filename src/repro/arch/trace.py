@@ -33,11 +33,6 @@ class LoadRecord:
     #: True when the load's bytes came from more than one writer.
     multi_writer: bool = False
 
-    @property
-    def in_block_forwarded(self) -> bool:
-        """Does this load read a value produced by a store in its own block?"""
-        return self.src_store is not None and self.src_store[0] is not None
-
 
 @dataclass
 class StoreRecord:
@@ -61,12 +56,6 @@ class BlockRecord:
     stores: List[StoreRecord] = field(default_factory=list)
     executed: int = 0                 # instructions producing real results
     nulled: int = 0                   # instructions that emitted NULL
-
-    def load_by_lsid(self, lsid: int) -> Optional[LoadRecord]:
-        for rec in self.loads:
-            if rec.lsid == lsid:
-                return rec
-        return None
 
 
 @dataclass

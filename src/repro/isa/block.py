@@ -77,6 +77,8 @@ class Block:
         #: Compiled activation plans, one per machine point (bounded
         #: LRU; see repro.uarch.specialize).
         self._plan_cache = None
+        #: Compiled golden-model plan (see repro.arch.interp).
+        self._golden_plan = None
         #: Set by a successful :meth:`validate`; mutation goes through the
         #: builders, which call :meth:`invalidate_caches` (clearing this),
         #: so re-validating an unchanged block is a no-op.  This is what
@@ -153,7 +155,23 @@ class Block:
         self._frame_template = None
         self._lsq_template = None
         self._plan_cache = None
+        self._golden_plan = None
         self._validated = False
+
+    def __getstate__(self):
+        """Pickle without the process-local derived caches.
+
+        The frame template and the plans hold ALU lambdas, which cannot
+        be pickled, and a copy in another process rebuilds all four
+        caches on first use anyway.  ``_slot_producers`` and
+        ``_validated`` describe the block's own content and travel with
+        it.
+        """
+        state = self.__dict__.copy()
+        for name in ("_frame_template", "_lsq_template", "_plan_cache",
+                     "_golden_plan"):
+            state[name] = None
+        return state
 
     # ------------------------------------------------------------------
     # Validation

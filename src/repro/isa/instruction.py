@@ -39,6 +39,11 @@ class TargetKind(enum.Enum):
     WRITE = "write"   # one of the block's register-write slots
 
 
+#: Bound once like the ``SLOT_*`` constants above.
+TARGET_INST = TargetKind.INST
+TARGET_WRITE = TargetKind.WRITE
+
+
 @dataclass(frozen=True)
 class Target:
     """A direct dataflow target: where a producer's result token is sent."""

@@ -14,6 +14,11 @@ per-event code reads those: no function there reads a buffer's
 ``.effective`` snapshot or builds an ``Effective``, and
 ``MemEntry.order_key`` is stored once rather than rebuilt per read
 (docs/PERFORMANCE.md §13).
+
+The compiled golden model (``repro.arch.interp``) runs once per
+dynamic instruction of every golden run and holds the same rule; its
+reference, ``repro.arch.interp_ref``, is kept as first written and is
+not scanned (docs/PERFORMANCE.md §14).
 """
 
 import ast
@@ -26,12 +31,14 @@ import pytest
 from repro.core.buffers import Effective, SoleBuffer, TokenBuffer
 from repro.core.node import NodeState, OutcomeKind
 from repro.core.tokens import SlotStatus
-from repro.isa.instruction import Slot
+from repro.isa.instruction import Slot, TargetKind
 from repro.uarch.lsq import MemEntry, MemKind
 
 #: Modules whose functions run per simulated event (token deposit,
-#: issue, completion, LSQ action, commit-gate poll).
+#: issue, completion, LSQ action, commit-gate poll) or per golden-model
+#: instruction.
 EVENT_MODULES = (
+    "repro.arch.interp",
     "repro.core.node",
     "repro.core.buffers",
     "repro.uarch.processor",
@@ -48,6 +55,7 @@ ENUM_CONSTANTS = {
     OutcomeKind: ("repro.core.node", "OUT_"),
     MemKind: ("repro.uarch.lsq", "MEM_"),
     Slot: ("repro.isa.instruction", "SLOT_"),
+    TargetKind: ("repro.isa.instruction", "TARGET_"),
 }
 
 _MEMBERS = {cls.__name__: frozenset(cls.__members__)
@@ -189,6 +197,15 @@ class TestChecker:
                   "def f(s):\n"
                   "    return SlotStatus.__members__, s.EMPTY, Other.IDLE\n")
         assert event_path_violations(source) == []
+
+    def test_flags_the_reference_interpreter(self):
+        # The reference golden model reads members through their
+        # classes; the scan must see every one of them.
+        source = inspect.getsource(
+            importlib.import_module("repro.arch.interp_ref"))
+        found = {what for _, what in event_path_violations(source)}
+        assert found == {"Slot.OP0", "Slot.OP1", "Slot.PRED",
+                         "TargetKind.WRITE"}
 
     def test_flags_snapshot_reads_and_builds(self):
         source = ("def f(b, n):\n"

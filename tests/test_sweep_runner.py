@@ -15,6 +15,7 @@ from repro.harness import parallel as parallel_mod
 from repro.harness.cache import SCHEMA_VERSION
 from repro.harness.experiments import E10_POINTS
 from repro.harness.pool import run_cell_chunk
+from repro.harness.runner import run_point
 from repro.harness.sweep import SweepCell
 from repro.uarch.config import default_config
 from repro.workloads import KERNELS
@@ -363,6 +364,45 @@ class TestGoldenMemo:
         golden_of(inst)
         clone = pickle.loads(pickle.dumps(inst))
         assert golden_of(clone).block_count == golden_of(inst).block_count
+
+
+class TestPicklingAfterUse:
+    """A program simulated and golden-run in this process still travels
+    to the worker pool: its blocks pickle without the derived caches
+    that hold ALU callables (frame template, block plans, golden
+    plan)."""
+
+    @staticmethod
+    def _plan(instance):
+        plan = SweepPlan()
+        for kernel in (instance, KERNELS["vecsum"].build_test()):
+            for point in ("dsre", "storeset"):
+                plan.add(kernel, point)
+        return plan
+
+    def test_pool_runs_a_program_used_in_process(self, monkeypatch):
+        # Two schedulable cores, so the plan goes to the pool on any host.
+        monkeypatch.setattr(parallel_mod, "_available_cores", lambda: 2)
+        used = small()
+        run_point(used, "dsre")
+        run_program(used.program, used.initial_regs)
+        with ParallelRunner(jobs=2, cache=None) as runner:
+            after_use = runner.run_plan(self._plan(used))
+            assert runner.pool is not None
+        with ParallelRunner(jobs=2, cache=None) as runner:
+            fresh = runner.run_plan(self._plan(small()))
+        assert stats_of(after_use) == stats_of(fresh)
+        assert [r.arch_digest for r in after_use] == \
+            [r.arch_digest for r in fresh]
+
+    def test_program_pickles_like_a_fresh_one(self):
+        import pickle
+        used = small()
+        run_point(used, "dsre")
+        run_program(used.program, used.initial_regs)
+        assert pickle.dumps(used.program) == pickle.dumps(small().program)
+        clone = pickle.loads(pickle.dumps(used.program))
+        assert all(block._validated for block in clone.blocks.values())
 
 
 class TestPlan:
