@@ -69,9 +69,6 @@ class CompiledProgram:
     array_sizes: Dict[str, int]
     result_reg: int = RESULT_REG
 
-    def array_addr(self, name: str, index: int) -> int:
-        return self.array_bases[name] + 8 * index
-
 
 def compile_source(source: str) -> CompiledProgram:
     """Compile EK source to a validated EDGE program."""

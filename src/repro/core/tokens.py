@@ -78,10 +78,6 @@ class Token:
     value: TokenValue
     final: bool = False
 
-    @property
-    def is_null(self) -> bool:
-        return self.value is None
-
     def __str__(self) -> str:
         val = "NULL" if self.value is None else self.value
         flag = "F" if self.final else "s"

@@ -667,12 +667,14 @@ class ParallelRunner:
     def _execute_pooled(self, cells: List[SweepCell], digests: List[str],
                         groups: Dict[str, List[int]]):
         """Pooled execution: one task per kernel so each worker derives
-        (or memo-hits) that kernel's golden run exactly once.  Bigger
-        chunks are submitted first (LPT-style) so the last task to
-        finish is a small one; chunks are never split — that would
-        re-introduce redundant golden runs.  Yields the records only
-        once the whole pool run has returned, chunk by chunk in
-        submission order — not as each chunk completes.
+        (or memo-hits) that kernel's golden run exactly once.  Chunks are
+        submitted by cell count, largest first, ties in plan order.  The
+        key is cell count, not cost: chunks of equal size, such as E1's
+        14 five-cell kernels, go in plan order whatever their simulation
+        cost.  Chunks are never split — that would re-introduce
+        redundant golden runs.  Yields the records only once the whole
+        pool run has returned, chunk by chunk in submission order — not
+        as each chunk completes.
         """
         shared: Dict[int, KernelInstance] = {}
         chunks = [[(index, self._pruned(cells[index], shared))

@@ -18,7 +18,6 @@ machine points* of the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..arch.interp import run_program
@@ -42,23 +41,6 @@ STANDARD_POINTS: Dict[str, Tuple[str, str]] = {
 #: every published table (and its golden bytes) renders these; additive
 #: points like ``hybrid`` are runnable by name without reflowing them.
 POINT_ORDER = ["conservative", "aggressive", "storeset", "dsre", "oracle"]
-
-
-@dataclass
-class KernelRun:
-    """One (kernel, machine point) timing result."""
-
-    kernel: str
-    point: str
-    result: SimResult
-
-    @property
-    def cycles(self) -> int:
-        return self.result.stats.cycles
-
-    @property
-    def ipc(self) -> float:
-        return self.result.stats.ipc
 
 
 def golden_of(instance: KernelInstance) -> ExecutionTrace:

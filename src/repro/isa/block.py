@@ -102,11 +102,6 @@ class Block:
         return sorted(i.lsid for i in self.instructions if i.is_store)
 
     @property
-    def memory_lsids(self) -> List[int]:
-        """All LSIDs in ascending order."""
-        return sorted(i.lsid for i in self.instructions if i.is_memory)
-
-    @property
     def branch_indices(self) -> List[int]:
         """Indices of branch instructions."""
         return [i for i, ins in enumerate(self.instructions) if ins.is_branch]

@@ -83,10 +83,6 @@ def _read_varint(src: io.BytesIO) -> int:
             raise EncodingError("varint too long")
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 127) if value >= 0 else ((-value) << 1) - 1
-
-
 def _write_svarint(out: io.BytesIO, value: int) -> None:
     encoded = (value << 1) if value >= 0 else (((-value) << 1) - 1)
     _write_varint(out, encoded)

@@ -65,10 +65,6 @@ class Program:
         except KeyError:
             raise IsaError(f"no block named {name!r}") from None
 
-    @property
-    def block_names(self) -> List[str]:
-        return list(self.blocks)
-
     def validate(self) -> None:
         """Validate every block plus whole-program invariants."""
         if self.entry not in self.blocks:

@@ -42,6 +42,6 @@ class OraclePolicy(DependencePolicy):
             return False
         src_seq, src_lsid = src
         for store in older_stores:
-            if (store.seq, store.lsid) == (src_seq, src_lsid):
+            if store.seq == src_seq and store.lsid == src_lsid:
                 return not store.resolved
         return False

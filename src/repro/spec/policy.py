@@ -20,32 +20,43 @@ The four policies of the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 #: Static identity of a memory operation: (block name, lsid).
 StaticMemId = Tuple[str, int]
 
 
-@dataclass(frozen=True)
 class LoadQuery:
-    """Everything a policy may consider when deciding whether a load waits."""
+    """Everything a policy may consider when deciding whether a load waits.
 
-    static_id: StaticMemId
-    seq: int                   # dynamic block index of the load's frame
-    lsid: int
-    addr: int
-    width: int
+    The LSQ hands policies its own ``MemEntry`` objects, which carry these
+    fields (and stores a ``resolved`` flag), so it builds none of these
+    per poll; this plain ``__slots__`` type is for tests and the naive
+    reference LSQ.
+    """
+
+    __slots__ = ("static_id", "seq", "lsid", "addr", "width")
+
+    def __init__(self, static_id: StaticMemId, seq: int, lsid: int,
+                 addr: int, width: int):
+        self.static_id = static_id
+        self.seq = seq             # dynamic block index of the load's frame
+        self.lsid = lsid
+        self.addr = addr
+        self.width = width
 
 
-@dataclass(frozen=True)
 class StoreView:
-    """A policy's view of one older in-flight store."""
+    """A policy's view of one older in-flight store (see LoadQuery)."""
 
-    static_id: StaticMemId
-    seq: int
-    lsid: int
-    resolved: bool             # address+data known (or known-null)
+    __slots__ = ("static_id", "seq", "lsid", "resolved")
+
+    def __init__(self, static_id: StaticMemId, seq: int, lsid: int,
+                 resolved: bool):
+        self.static_id = static_id
+        self.seq = seq
+        self.lsid = lsid
+        self.resolved = resolved   # address+data known (or known-null)
 
 
 class DependencePolicy:
@@ -56,6 +67,11 @@ class DependencePolicy:
     without materialising a store view; a policy setting either one must
     keep :meth:`should_wait` consistent with the declared shape (it is
     still what the naive reference implementation calls).
+
+    Every policy must answer False when no older store is unresolved: the
+    LSQ consults :meth:`should_wait` only while one is (the naive
+    reference asks on every poll, so the differential test holds the
+    rule for the registered policies).
     """
 
     name = "abstract"

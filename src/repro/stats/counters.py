@@ -74,11 +74,6 @@ class SimStats:
                 if self.cycles else 0.0)
 
     @property
-    def blocks_per_kcycle(self) -> float:
-        return 1000.0 * self.committed_blocks / self.cycles if self.cycles \
-            else 0.0
-
-    @property
     def reexecution_ratio(self) -> float:
         """Re-executions per committed instruction (DSRE overhead)."""
         if not self.committed_instructions:
@@ -154,7 +149,12 @@ class InvarianceCertificate:
     sibling machine points only while all of them stay zero.
     """
 
-    policy_windows: int = 0      # load issued with an older unresolved store
+    #: Every LSQ ``_must_wait`` evaluation that finds an older
+    #: unresolved store, whether or not the load then waits: each
+    #: request of a load that is unissued or whose address changed, and
+    #: each re-poll of a deferred load (on a store event or when its
+    #: address turns final).
+    policy_windows: int = 0
     deferrals: int = 0           # load actually held back by the policy
     wrong_values: int = 0        # mis-speculated value seen by the protocol
     offpath_predictions: int = 0  # predictor answered off the golden path

@@ -21,17 +21,23 @@ sequential memory order.  It implements:
   corrected re-delivery.
 
 Every ordering query runs against incrementally maintained indexes rather
-than a scan of all in-flight entries (see docs/PERFORMANCE.md):
+than a scan of all in-flight entries (see docs/PERFORMANCE.md §3):
 
-* ``_store_order``/``_store_keys``/``_store_views`` — all in-flight stores
-  in sequential memory order, with their policy views, sliced by bisection;
+* ``_store_order``/``_store_keys`` — all in-flight stores in sequential
+  memory order, sliced by bisection; the slice is also the dependence
+  policy's view, since entries carry every field a policy reads;
 * ``_store_buckets``/``_load_buckets`` — address-bucketed maps from
   ``BUCKET_BYTES``-aligned regions to the resolved stores / addressed loads
   touching them, so forwarding and dependence checks consult only
-  overlapping candidates;
+  overlapping candidates (each entry keeps the address it is bucketed
+  under in ``span_addr``);
 * ``_unresolved_keys``/``_blocking_keys`` — sorted key lists of stores that
   can still make a load wait / gate a confirmation;
 * ``_deferred``/``_confirm_wait`` — the loads a store event may wake.
+
+An entry's place in that order is one integer, ``order_key = (seq <<
+LSID_BITS) | lsid``, so every bisection, sort, dict and set over keys
+handles a single int.
 
 :class:`~repro.uarch.lsq_naive.NaiveLoadStoreQueue` overrides the query
 hooks with the original full scans; the property tests in
@@ -42,14 +48,14 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..arch.memory import SparseMemory
 from ..errors import SimulationError
 from ..isa.block import Block
-from ..spec.policy import DependencePolicy, LoadQuery, StoreView
+from ..spec.policy import DependencePolicy
 from ..stats.counters import InvarianceCertificate
 from .cache import Cache
 
@@ -67,51 +73,70 @@ MEM_LOAD = MemKind.LOAD
 MEM_STORE = MemKind.STORE
 
 
-@dataclass(slots=True)
+#: ``order_key = (seq << LSID_BITS) | lsid``.  ``Block.validate`` keeps
+#: every LSID below its ``max_memory_ops``, and ``register_frame`` refuses
+#: a block whose bound does not fit, so integer keys order exactly like
+#: ``(seq, lsid)`` tuples.
+LSID_BITS = 32
+
+
 class MemEntry:
-    """One in-flight memory operation."""
+    """One in-flight memory operation.  A plain ``__slots__`` class: one
+    is built per memory operation of every mapped frame."""
 
-    frame_uid: int
-    seq: int
-    lsid: int
-    kind: MemKind
-    static_id: Tuple[str, int]
-    width: int
+    __slots__ = ("frame_uid", "seq", "lsid", "kind", "static_id", "width",
+                 "epoch", "order_key", "wave", "null", "final", "addr_final",
+                 "addr", "value", "resolved", "blocking", "span_addr",
+                 "issued", "deferred", "returned_value", "confirmed",
+                 "redeliveries", "value_ready_at")
 
-    #: Commit/rollback epoch this operation belongs to — stamped once at
-    #: registration from the protocol's ``epoch_of``.  Degenerate
-    #: protocols map every frame to its own epoch (``epoch == seq``).
-    epoch: int = 0
+    def __init__(self, frame_uid: int, seq: int, lsid: int, kind: MemKind,
+                 static_id: Tuple[str, int], width: int, epoch: int = 0):
+        self.frame_uid = frame_uid
+        self.seq = seq
+        self.lsid = lsid
+        self.kind = kind
+        self.static_id = static_id
+        self.width = width
+        #: Commit/rollback epoch this operation belongs to — stamped once
+        #: at registration from the protocol's ``epoch_of``.  Degenerate
+        #: protocols map every frame to its own epoch (``epoch == seq``).
+        self.epoch = epoch
+        #: The entry's place in sequential memory order (``LSID_BITS``).
+        #: Every ordering query reads it, so it is built once, here
+        #: (``seq`` and ``lsid`` never change).
+        self.order_key = (seq << LSID_BITS) | lsid
+        self.wave = -1              # highest update wave seen from the node
+        self.null = False           # predicated off at the latest wave
+        self.final = False          # node's inputs are final (commit wave)
+        #: Store only: the address (not necessarily the data) is final, so
+        #: the store can be disambiguated against loads it does not overlap.
+        self.addr_final = False
+        # Store state.
+        self.addr: Optional[int] = None
+        self.value: Optional[int] = None
+        #: Store only, set by the LSQ's index upkeep: ``resolved`` mirrors
+        #: ``store_resolved`` (dependence policies read it); ``blocking``
+        #: is "still gates a load's confirmation" (``_blocking_keys``).
+        self.resolved = False
+        self.blocking = True
+        #: The address this entry is bucketed under (None: not bucketed).
+        self.span_addr: Optional[int] = None
+        # Load state.
+        self.issued = False
+        self.deferred = False
+        self.returned_value: Optional[int] = None
+        self.confirmed = False
+        self.redeliveries = 0
+        #: Cycle at which the latest issued response reaches the load
+        #: node; confirmation may never undercut this (no free cache
+        #: bypass).
+        self.value_ready_at = 0
 
-    wave: int = -1              # highest update wave seen from the node
-    null: bool = False          # predicated off at the latest wave
-    final: bool = False         # node's inputs are final (commit wave)
-    #: Store only: the address (not necessarily the data) is final, so the
-    #: store can be disambiguated against loads it does not overlap.
-    addr_final: bool = False
-
-    # Store state.
-    addr: Optional[int] = None
-    value: Optional[int] = None
-
-    # Load state.
-    issued: bool = False
-    deferred: bool = False
-    returned_value: Optional[int] = None
-    confirmed: bool = False
-    redeliveries: int = 0
-    #: Cycle at which the latest issued response reaches the load node;
-    #: confirmation may never undercut this (no free cache bypass).
-    value_ready_at: int = 0
-
-    #: ``(seq, lsid)``: the entry's place in sequential memory order.
-    #: Every ordering query reads it, so it is built once, here, rather
-    #: than per read (``seq`` and ``lsid`` never change).
-    order_key: Tuple[int, int] = field(init=False, repr=False,
-                                       compare=False)
-
-    def __post_init__(self) -> None:
-        self.order_key = (self.seq, self.lsid)
+    def __repr__(self) -> str:
+        return (f"MemEntry(frame_uid={self.frame_uid}, seq={self.seq}, "
+                f"lsid={self.lsid}, kind={self.kind.name}, "
+                f"addr={self.addr}, wave={self.wave})")
 
     @property
     def store_resolved(self) -> bool:
@@ -192,6 +217,13 @@ BUCKET_BYTES = 1 << BUCKET_SHIFT
 _WORD_SPACE = 1 << 64
 
 
+def _buckets_of(addr: int, width: int) -> range:
+    """The buckets a ``width``-byte access at ``addr`` touches: one, or
+    two for a validated access (1, 2, 4 or 8 bytes) that straddles."""
+    return range(addr >> BUCKET_SHIFT,
+                 ((addr + width - 1) >> BUCKET_SHIFT) + 1)
+
+
 class LoadStoreQueue:
     """The machine's memory-ordering unit."""
 
@@ -234,27 +266,24 @@ class LoadStoreQueue:
         self._frame_order: List[int] = []
 
         # --- Incremental indexes (see module docstring) ----------------
-        #: Flattened (seq, lsid)-ordered entry list; None when stale.
+        #: Flattened order-key-ordered entry list; None when stale.
         self._flat_cache: Optional[List[MemEntry]] = None
-        #: All in-flight stores in order, with parallel key/view lists.
+        #: All in-flight stores in order, with a parallel key list.
         self._store_order: List[MemEntry] = []
-        self._store_keys: List[Tuple[int, int]] = []
-        self._store_views: List[StoreView] = []
-        self._store_by_key: Dict[Tuple[int, int], MemEntry] = {}
+        self._store_keys: List[int] = []
+        self._store_by_key: Dict[int, MemEntry] = {}
         #: Sorted keys of stores that are not yet resolved / that still
-        #: gate load confirmation.
-        self._unresolved_keys: List[Tuple[int, int]] = []
-        self._blocking_keys: List[Tuple[int, int]] = []
+        #: gate load confirmation (mirrored by ``MemEntry.resolved`` and
+        #: ``MemEntry.blocking``).
+        self._unresolved_keys: List[int] = []
+        self._blocking_keys: List[int] = []
         #: Address bucket -> entries whose current range touches it.
         self._store_buckets: Dict[int, List[MemEntry]] = {}
         self._load_buckets: Dict[int, List[MemEntry]] = {}
-        #: Currently indexed (addr, width) span per entry key.
-        self._store_span: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._load_span: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: Loads a store event may wake: deferred, and (under DSRE)
         #: issued-but-unconfirmed loads whose address is final.
-        self._deferred: Dict[Tuple[int, int], MemEntry] = {}
-        self._confirm_wait: Dict[Tuple[int, int], MemEntry] = {}
+        self._deferred: Dict[int, MemEntry] = {}
+        self._confirm_wait: Dict[int, MemEntry] = {}
         #: Per-frame lsids not yet ``complete_for_commit`` — kept in sync
         #: by the same hooks that maintain the other indexes, so
         #: ``frame_mem_final`` is an emptiness check instead of a scan.
@@ -279,6 +308,11 @@ class LoadStoreQueue:
         # its other derived structures by ``invalidate_caches``).
         template = getattr(block, "_lsq_template", None)
         if template is None:
+            if block.limits.max_memory_ops > 1 << LSID_BITS:
+                raise SimulationError(
+                    f"block {block.name}: max_memory_ops "
+                    f"{block.limits.max_memory_ops} exceeds the LSQ's "
+                    f"{LSID_BITS}-bit LSID field")
             mem_insts = sorted((inst for inst in block.instructions
                                 if inst.is_memory), key=lambda i: i.lsid)
             template = tuple(
@@ -299,8 +333,6 @@ class LoadStoreQueue:
                 key = entry.order_key
                 self._store_order.append(entry)
                 self._store_keys.append(key)
-                self._store_views.append(StoreView(
-                    entry.static_id, entry.seq, entry.lsid, False))
                 self._store_by_key[key] = entry
                 self._unresolved_keys.append(key)
                 self._blocking_keys.append(key)
@@ -335,19 +367,18 @@ class LoadStoreQueue:
                 index = bisect_left(self._store_keys, key)
                 del self._store_order[index]
                 del self._store_keys[index]
-                del self._store_views[index]
                 del self._store_by_key[key]
-                self._discard_sorted(self._unresolved_keys, key)
-                self._discard_sorted(self._blocking_keys, key)
-                span = self._store_span.pop(key, None)
-                if span is not None:
-                    self._unbucket(self._store_buckets, entry, span)
+                if not entry.resolved:
+                    self._discard_sorted(self._unresolved_keys, key)
+                if entry.blocking:
+                    self._discard_sorted(self._blocking_keys, key)
+                if entry.span_addr is not None:
+                    self._unbucket(self._store_buckets, entry)
             else:
                 self._deferred.pop(key, None)
                 self._confirm_wait.pop(key, None)
-                span = self._load_span.pop(key, None)
-                if span is not None:
-                    self._unbucket(self._load_buckets, entry, span)
+                if entry.span_addr is not None:
+                    self._unbucket(self._load_buckets, entry)
 
     def commit_frame(self, frame_uid: int) -> List[Tuple[int, int, int]]:
         """Remove the (oldest) frame; return its stores as (addr, value,
@@ -363,9 +394,11 @@ class LoadStoreQueue:
                     f"lsid {e.lsid}")
             if e.kind is MEM_STORE and not e.null:
                 stores.append((e.addr, e.value, e.width))
-        committed_seq = next(iter(entries.values())).seq if entries else 0
-        self._poisoned = {(seq, sid) for seq, sid in self._poisoned
-                          if seq > committed_seq}
+        if self._poisoned:
+            committed_seq = next(iter(entries.values())).seq \
+                if entries else 0
+            self._poisoned = {(seq, sid) for seq, sid in self._poisoned
+                              if seq > committed_seq}
         self.drop_frame(frame_uid)
         return stores
 
@@ -399,7 +432,7 @@ class LoadStoreQueue:
                                 for entry in self._frames[uid].values()]
         return self._flat_cache
 
-    def _stores_older_than(self, key: Tuple[int, int],
+    def _stores_older_than(self, key: int,
                            newest_first: bool = True) -> List[MemEntry]:
         stores = self._store_order[:bisect_left(self._store_keys, key)]
         if newest_first:
@@ -411,88 +444,62 @@ class LoadStoreQueue:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _buckets_of(addr: int, width: int) -> range:
-        return range(addr >> BUCKET_SHIFT,
-                     ((addr + max(width, 1) - 1) >> BUCKET_SHIFT) + 1)
-
-    def _unbucket(self, buckets: Dict[int, List[MemEntry]],
-                  entry: MemEntry, span: Tuple[int, int]) -> None:
-        for b in self._buckets_of(*span):
-            bucket = buckets.get(b)
-            if bucket is None:
-                continue
-            for i, resident in enumerate(bucket):
-                if resident is entry:
-                    del bucket[i]
-                    break
-            if not bucket:
-                del buckets[b]
-
-    def _enbucket(self, buckets: Dict[int, List[MemEntry]],
-                  entry: MemEntry, span: Tuple[int, int]) -> None:
-        for b in self._buckets_of(*span):
+    def _enbucket(buckets: Dict[int, List[MemEntry]], entry: MemEntry,
+                  addr: int) -> None:
+        """Index the entry under ``addr`` in every bucket it touches."""
+        entry.span_addr = addr
+        for b in _buckets_of(addr, entry.width):
             buckets.setdefault(b, []).append(entry)
 
     @staticmethod
-    def _discard_sorted(keys: List[Tuple[int, int]],
-                        key: Tuple[int, int]) -> None:
+    def _unbucket(buckets: Dict[int, List[MemEntry]],
+                  entry: MemEntry) -> None:
+        """Remove the entry from every bucket its indexed span touches."""
+        addr = entry.span_addr
+        entry.span_addr = None
+        for b in _buckets_of(addr, entry.width):
+            bucket = buckets[b]
+            bucket.remove(entry)         # identity: entries define no __eq__
+            if not bucket:
+                del buckets[b]
+
+    @staticmethod
+    def _discard_sorted(keys: List[int], key: int) -> None:
         index = bisect_left(keys, key)
         if index < len(keys) and keys[index] == key:
             del keys[index]
 
-    @staticmethod
-    def _set_sorted_membership(keys: List[Tuple[int, int]],
-                               key: Tuple[int, int], present: bool) -> None:
-        index = bisect_left(keys, key)
-        found = index < len(keys) and keys[index] == key
-        if present and not found:
-            keys.insert(index, key)
-        elif found and not present:
-            del keys[index]
-
     def _reindex_store(self, entry: MemEntry) -> None:
-        """Sync the store's bucket span, view, and gating-list membership."""
+        """Sync the store's bucket span, its ``resolved``/``blocking``
+        flags with their sorted key lists, and its commit completeness."""
+        addr = entry.addr                # None while unresolved or null
+        if addr != entry.span_addr:
+            if entry.span_addr is not None:
+                self._unbucket(self._store_buckets, entry)
+            if addr is not None:
+                self._enbucket(self._store_buckets, entry, addr)
         key = entry.order_key
-        span = ((entry.addr, entry.width)
-                if not entry.null and entry.addr is not None else None)
-        old = self._store_span.get(key)
-        if span != old:
-            if old is not None:
-                self._unbucket(self._store_buckets, entry, old)
-            if span is not None:
-                self._enbucket(self._store_buckets, entry, span)
-                self._store_span[key] = span
-            else:
-                self._store_span.pop(key, None)
         resolved = entry.store_resolved
-        self._set_sorted_membership(self._unresolved_keys, key, not resolved)
-        blocking = not ((entry.null and entry.final)
-                        or (entry.final and resolved))
-        self._set_sorted_membership(self._blocking_keys, key, blocking)
-        index = bisect_left(self._store_keys, key)
-        if self._store_views[index].resolved != resolved:
-            self._store_views[index] = StoreView(
-                entry.static_id, entry.seq, entry.lsid, resolved)
+        if resolved != entry.resolved:
+            entry.resolved = resolved
+            keys = self._unresolved_keys
+            if resolved:
+                del keys[bisect_left(keys, key)]
+            else:
+                keys.insert(bisect_left(keys, key), key)
+        complete = entry.final and resolved
+        if complete == entry.blocking:
+            entry.blocking = not complete
+            keys = self._blocking_keys
+            if complete:
+                del keys[bisect_left(keys, key)]
+            else:
+                keys.insert(bisect_left(keys, key), key)
         self._track_commit(entry)
 
-    def _reindex_load(self, entry: MemEntry) -> None:
-        """Sync the load's bucket span with its current address."""
-        key = entry.order_key
-        span = ((entry.addr, entry.width)
-                if entry.addr is not None else None)
-        old = self._load_span.get(key)
-        if span == old:
-            return
-        if old is not None:
-            self._unbucket(self._load_buckets, entry, old)
-        if span is not None:
-            self._enbucket(self._load_buckets, entry, span)
-            self._load_span[key] = span
-        else:
-            self._load_span.pop(key, None)
-
     def _track_load(self, entry: MemEntry) -> None:
-        """Sync the load's membership in the wake-candidate sets."""
+        """Sync the load's membership in the wake-candidate sets and its
+        commit completeness."""
         key = entry.order_key
         if entry.deferred:
             self._deferred[key] = entry
@@ -534,38 +541,32 @@ class LoadStoreQueue:
         bytes, newest first."""
         addr, width = load.addr, load.width
         key = load.order_key
-        out: List[MemEntry] = []
-        seen: set = set()
-        for b in self._buckets_of(addr, width):
+        end = addr + width
+        found: Dict[int, MemEntry] = {}
+        for b in _buckets_of(addr, width):
             for store in self._store_buckets.get(b, ()):
-                skey = store.order_key
-                if skey >= key or skey in seen:
-                    continue
-                if (store.addr < addr + width
+                if (store.order_key < key and store.addr < end
                         and addr < store.addr + store.width):
-                    seen.add(skey)
-                    out.append(store)
-        out.sort(key=lambda s: s.order_key, reverse=True)
-        return out
+                    found[store.order_key] = store
+        return [found[k] for k in sorted(found, reverse=True)]
 
-    def _policy_view(self, load: MemEntry) -> Sequence[StoreView]:
-        return self._store_views[:bisect_left(self._store_keys,
+    def _policy_view(self, load: MemEntry) -> Sequence[MemEntry]:
+        """The older in-flight stores, oldest first: the entries
+        themselves, whose ``resolved`` field a policy reads."""
+        return self._store_order[:bisect_left(self._store_keys,
                                               load.order_key)]
-
-    def _any_unresolved_older(self, key: Tuple[int, int]) -> bool:
-        return bool(self._unresolved_keys) and self._unresolved_keys[0] < key
 
     def _recheck_candidates(self, store: MemEntry, old_addr: Optional[int],
                             old_width: int) -> List[MemEntry]:
         """Issued loads younger than the store that may touch its old or
         new range, oldest first."""
-        found: Dict[Tuple[int, int], MemEntry] = {}
+        found: Dict[int, MemEntry] = {}
         key = store.order_key
         for addr, width in ((store.addr, store.width),
                             (old_addr, old_width)):
             if addr is None or width <= 0:
                 continue
-            for b in self._buckets_of(addr, width):
+            for b in _buckets_of(addr, width):
                 for load in self._load_buckets.get(b, ()):
                     if (load.order_key > key and load.issued
                             and not load.null):
@@ -576,15 +577,26 @@ class LoadStoreQueue:
         """Loads younger than the store that a store event may unblock:
         deferred loads and (under DSRE) unconfirmed issued loads."""
         key = store.order_key
-        keys = {k for k in self._deferred if k > key}
-        keys.update(k for k in self._confirm_wait if k > key)
-        return [self._deferred.get(k) or self._confirm_wait[k]
-                for k in sorted(keys)]
+        deferred, waiting = self._deferred, self._confirm_wait
+        if not waiting:
+            if not deferred:
+                return []
+            return [deferred[k] for k in sorted([k for k in deferred
+                                                 if k > key])]
+        keys = {k for k in deferred if k > key}
+        keys.update(k for k in waiting if k > key)
+        return [deferred.get(k) or waiting[k] for k in sorted(keys)]
 
-    def _confirm_gate_stores(self, load: MemEntry) -> List[MemEntry]:
-        """Stores older than the load that may still gate confirmation."""
-        index = bisect_left(self._blocking_keys, load.order_key)
-        return [self._store_by_key[k] for k in self._blocking_keys[:index]]
+    def _confirm_gate_stores(self, load: MemEntry) -> Iterator[MemEntry]:
+        """Stores older than the load that may still gate confirmation,
+        oldest first.  Lazy: ``_maybe_confirm`` stops at the first store
+        that gates."""
+        key = load.order_key
+        by_key = self._store_by_key
+        for k in self._blocking_keys:
+            if k >= key:
+                return
+            yield by_key[k]
 
     # ------------------------------------------------------------------
     # Value assembly
@@ -650,10 +662,6 @@ class LoadStoreQueue:
     # Load path
     # ------------------------------------------------------------------
 
-    def _load_query(self, load: MemEntry) -> LoadQuery:
-        return LoadQuery(load.static_id, load.seq, load.lsid,
-                         load.addr, load.width)
-
     def load_request(self, frame_uid: int, lsid: int, addr: int,
                      wave: int, final: bool = False) -> List[LsqAction]:
         """A load node's address arrived (or re-arrived at a higher wave)."""
@@ -666,9 +674,12 @@ class LoadStoreQueue:
             entry.final = True
         addr_changed = entry.addr != addr
         if addr_changed:
+            # A load is bucketed under its latest address.
             entry.confirmed = False
-        entry.addr = addr
-        self._reindex_load(entry)
+            entry.addr = addr
+            if entry.span_addr is not None:
+                self._unbucket(self._load_buckets, entry)
+            self._enbucket(self._load_buckets, entry, addr)
         self._track_load(entry)
         if entry.issued and not addr_changed:
             return self._maybe_confirm(entry)
@@ -685,28 +696,28 @@ class LoadStoreQueue:
         self._poisoned.add((seq, static_id))
 
     def _must_wait(self, entry: MemEntry) -> bool:
-        # Every registered policy answers "issue now" when no older
-        # unresolved store exists, so the load decision can only depend
-        # on the policy while one does — that is exactly the certificate
-        # condition, checked once here (O(1) against the sorted index).
-        unresolved_older = self._any_unresolved_older(entry.order_key)
-        if unresolved_older:
-            self.certificate.policy_windows += 1
+        # Every policy answers "issue now" when no older unresolved store
+        # exists (DependencePolicy's contract), and so does the wait bit,
+        # so the load decision can only depend on the policy while one
+        # does — that is exactly the certificate condition, checked once
+        # here (O(1) against the sorted index).  ``policy_windows`` thus
+        # counts every evaluation that finds an older unresolved store
+        # (see ``InvarianceCertificate``).
+        unresolved = self._unresolved_keys
+        if not unresolved or unresolved[0] >= entry.order_key:
+            return False
+        self.certificate.policy_windows += 1
         policy = self.policy
         if policy.never_waits:
             pass                      # aggressive: skip the view entirely
         elif policy.waits_for_any_unresolved:
-            if unresolved_older:
-                return True
-        elif policy.should_wait(self._load_query(entry),
-                                self._policy_view(entry)):
             return True
-        if (entry.seq, entry.static_id) in self._poisoned:
-            # The wait bit persists until the instance commits: the frame
-            # may be re-squashed by an unrelated violation, and the
-            # refetched instance must keep waiting too.
-            return unresolved_older
-        return False
+        elif policy.should_wait(entry, self._policy_view(entry)):
+            return True
+        # The wait bit persists until the instance commits: the frame may
+        # be re-squashed by an unrelated violation, and the refetched
+        # instance must keep waiting too.
+        return (entry.seq, entry.static_id) in self._poisoned
 
     def _compute_load(self, entry: MemEntry) -> Tuple[int, int]:
         """Assemble the load's current value and its access latency."""
@@ -774,6 +785,7 @@ class LoadStoreQueue:
         return self._maybe_confirm(entry)
 
     def _poll_deferred_one(self, entry: MemEntry) -> List[LsqAction]:
+        """Re-poll a deferred load: issue it unless it must still wait."""
         if self._must_wait(entry):
             return []
         return self._issue_load(entry)
@@ -886,6 +898,8 @@ class LoadStoreQueue:
         if (entry.confirmed or entry.null or not entry.issued
                 or not entry.final):
             return []
+        addr = entry.addr
+        end = addr + entry.width
         for store in self._confirm_gate_stores(entry):
             if store.null:
                 if not store.final:
@@ -896,8 +910,8 @@ class LoadStoreQueue:
             # A store with a final address that cannot overlap this load
             # does not gate confirmation even while its data is pending.
             if (store.addr_final and store.addr is not None
-                    and not self._ranges_overlap(entry, store.addr,
-                                                 store.width)):
+                    and not (addr < store.addr + store.width
+                             and store.addr < end)):
                 continue
             return []
         correct, _, _, _ = self.speculative_value(entry)

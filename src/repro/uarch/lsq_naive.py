@@ -9,13 +9,19 @@ action streams — the indexed hot path is only trusted because this class
 keeps disagreeing with nothing.
 
 It is O(entries) per event and must never be used by the harness proper.
+
+It does not count certificate triggers: its ``_must_wait`` never adds to
+``InvarianceCertificate.policy_windows``, so its certificate differs from
+the indexed LSQ's wherever a policy window occurs.  The differential test
+compares action streams, ``LsqStats``, ``SimStats`` and final state;
+``tests/test_specialize.py`` pins the indexed LSQ's certificates.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..spec.policy import StoreView
+from ..spec.policy import LoadQuery, StoreView
 from .lsq import LoadStoreQueue, MemEntry, MemKind
 
 
@@ -32,7 +38,7 @@ class NaiveLoadStoreQueue(LoadStoreQueue):
             for lsid in sorted(entries):
                 yield entries[lsid]
 
-    def _stores_older_than(self, key: Tuple[int, int],
+    def _stores_older_than(self, key: int,
                            newest_first: bool = True) -> List[MemEntry]:
         stores = [e for e in self._all_entries()
                   if e.kind is MemKind.STORE and e.order_key < key]
@@ -55,11 +61,12 @@ class NaiveLoadStoreQueue(LoadStoreQueue):
                                                  newest_first=False)]
 
     def _must_wait(self, entry: MemEntry) -> bool:
-        # Always materialise the view and ask the policy — no trait
-        # shortcuts — so the indexed fast paths are checked against the
-        # policy's actual answer.
-        if self.policy.should_wait(self._load_query(entry),
-                                   self._policy_view(entry)):
+        # Always materialise the query and view and ask the policy — no
+        # trait shortcuts — so the indexed fast paths are checked against
+        # the policy's actual answer.
+        query = LoadQuery(entry.static_id, entry.seq, entry.lsid,
+                          entry.addr, entry.width)
+        if self.policy.should_wait(query, self._policy_view(entry)):
             return True
         if (entry.seq, entry.static_id) in self._poisoned:
             return any(not s.store_resolved

@@ -48,10 +48,6 @@ class NetworkStats:
     total_latency: int = 0
     contention_slips: int = 0
 
-    @property
-    def average_latency(self) -> float:
-        return self.total_latency / self.delivered if self.delivered else 0.0
-
 
 class OperandNetwork:
     """Mesh with per-destination port bandwidth."""

@@ -31,8 +31,10 @@ class DsreRecovery(RecoveryProtocol):
             "re-delivers instead of raising violations")
 
     def frame_outputs_ready(self, frame) -> bool:
-        # Cheap raw-finality screen first: this poll runs every active
-        # cycle and almost always fails here.  Once everything is final,
+        # Cheap raw-finality screen first: this poll runs on every cycle
+        # the commit signal is raised (each LSQ delivery and each changed
+        # write or branch deposit raises it) and almost always fails
+        # here.  Once everything is final,
         # ``outputs_final`` revalidates (and raises on a finalised
         # all-null slot exactly as before the screen existed).
         if not frame.branch_buffer.final:

@@ -32,7 +32,7 @@ class FlushRecovery(RecoveryProtocol):
     def frame_outputs_ready(self, frame) -> bool:
         # Completion screen: every output slot has a VALUE (this is
         # exactly ``Frame.outputs_produced``, inlined on raw buffer state
-        # because it polls every active cycle).
+        # because it polls on every cycle the commit signal is raised).
         if frame.branch_buffer.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:

@@ -96,11 +96,6 @@ def configure_plan_store(root: Optional[str]) -> None:
     _STORE_ROOT = os.path.join(root, "blockplans") if root else None
 
 
-def reset_plan_store_counts() -> None:
-    PLAN_STORE_COUNTS["hits"] = 0
-    PLAN_STORE_COUNTS["misses"] = 0
-
-
 def _block_digest(block) -> str:
     """Canonical content digest of one block (cached on the block)."""
     digest = getattr(block, "_plan_digest", None)

@@ -19,26 +19,38 @@ The compiled golden model (``repro.arch.interp``) runs once per
 dynamic instruction of every golden run and holds the same rule; its
 reference, ``repro.arch.interp_ref``, is kept as first written and is
 not scanned (docs/PERFORMANCE.md §14).
+
+The memory side holds it too: the dependence policies, which the LSQ
+consults on every load poll, and ``SparseMemory``, which serves every
+cache read and committed store.  No per-event function builds a frozen
+dataclass (~900 ns per construction on 3.11: one ``object.__setattr__``
+per field); ``MemEntry`` is a plain ``__slots__`` class whose
+``order_key`` is one integer (docs/PERFORMANCE.md §15).
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.buffers import Effective, SoleBuffer, TokenBuffer
 from repro.core.node import NodeState, OutcomeKind
 from repro.core.tokens import SlotStatus
 from repro.isa.instruction import Slot, TargetKind
-from repro.uarch.lsq import MemEntry, MemKind
+from repro.spec.policy import LoadQuery, StoreView
+from repro.uarch.lsq import LSID_BITS, MemEntry, MemKind
 
 #: Modules whose functions run per simulated event (token deposit,
 #: issue, completion, LSQ action, commit-gate poll) or per golden-model
 #: instruction.
 EVENT_MODULES = (
     "repro.arch.interp",
+    "repro.arch.memory",
     "repro.core.node",
     "repro.core.buffers",
     "repro.uarch.processor",
@@ -46,6 +58,9 @@ EVENT_MODULES = (
     "repro.uarch.frame",
     "repro.uarch.recovery.flush",
     "repro.uarch.recovery.txwave",
+    "repro.spec.policy",
+    "repro.spec.storeset",
+    "repro.spec.oracle",
 )
 
 #: Each guarded enum -> (module binding its members, constant prefix).
@@ -127,6 +142,42 @@ def snapshot_violations(source: str, exempt=frozenset()):
     return [(line, what) for line, _, what in sorted(found)]
 
 
+def frozen_dataclasses_of(module) -> frozenset:
+    """Names bound in ``module`` to frozen dataclasses."""
+    return frozenset(
+        name for name, obj in vars(module).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__dataclass_params__.frozen)
+
+
+def frozen_build_violations(source: str, frozen: frozenset):
+    """Sorted ``(line, what)`` for every call, inside a function body of
+    ``source``, of a name in ``frozen`` (bare or module-qualified)."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        body = func.body if isinstance(func.body, list) else [func.body]
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    name = _owner_name(node.func)
+                    if name in frozen:
+                        found.add((node.lineno, node.col_offset, name))
+    return [(line, what) for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", EVENT_MODULES)
+def test_no_frozen_dataclass_builds_on_the_event_path(module):
+    mod = importlib.import_module(module)
+    violations = frozen_build_violations(inspect.getsource(mod),
+                                         frozen_dataclasses_of(mod))
+    assert not violations, (
+        f"{module}: per-event code must not build frozen dataclasses "
+        f"(use a plain __slots__ class or the object at hand); found "
+        + ", ".join(f"line {line}: {what}" for line, what in violations))
+
+
 @pytest.mark.parametrize("module", EVENT_MODULES)
 def test_no_slot_snapshots_on_the_event_path(module):
     source = inspect.getsource(importlib.import_module(module))
@@ -139,13 +190,32 @@ def test_no_slot_snapshots_on_the_event_path(module):
 
 
 def test_order_key_is_a_stored_slot():
-    # A property would build the (seq, lsid) tuple on every read.
+    # A property would rebuild the key on every read.
     assert not isinstance(inspect.getattr_static(MemEntry, "order_key"),
                           property)
     assert "order_key" in MemEntry.__slots__
     entry = MemEntry(4, 9, 2, MemKind.STORE, ("b", 2), 8)
-    assert entry.order_key == (9, 2)
+    assert entry.order_key == (9 << 32) | 2
     assert entry.order_key is entry.order_key
+
+
+_LSIDS = st.integers(min_value=0, max_value=(1 << LSID_BITS) - 1)
+_SEQS = st.integers(min_value=0, max_value=1 << 40)
+
+
+@given(a=st.tuples(_SEQS, _LSIDS), b=st.tuples(_SEQS, _LSIDS))
+def test_integer_keys_order_like_tuples(a, b):
+    ka = MemEntry(0, a[0], a[1], MemKind.LOAD, ("b", 0), 8).order_key
+    kb = MemEntry(0, b[0], b[1], MemKind.STORE, ("b", 0), 8).order_key
+    assert (ka < kb) == (a < b)
+    assert (ka == kb) == (a == b)
+
+
+@pytest.mark.parametrize("cls", [MemEntry, LoadQuery, StoreView],
+                         ids=lambda cls: cls.__name__)
+def test_memory_side_values_are_plain_slots_classes(cls):
+    assert not dataclasses.is_dataclass(cls)
+    assert "__dict__" not in dir(cls) and cls.__slots__
 
 
 @pytest.mark.parametrize("module", EVENT_MODULES)
@@ -206,6 +276,36 @@ class TestChecker:
         found = {what for _, what in event_path_violations(source)}
         assert found == {"Slot.OP0", "Slot.OP1", "Slot.PRED",
                          "TargetKind.WRITE"}
+
+    def test_flags_frozen_dataclass_builds(self):
+        # The LSQ before its memory side was made cheap: a query per poll
+        # and a view per registered store and per resolution flip.
+        source = ("VIEW = StoreView(('b', 0), 0, 0, False)\n"
+                  "class Q:\n"
+                  "    def _load_query(self, load):\n"
+                  "        return LoadQuery(load.static_id, load.seq,\n"
+                  "                         load.lsid, load.addr, 8)\n"
+                  "    def register_frame(self, e):\n"
+                  "        self.views.append(policy.StoreView(e, False))\n"
+                  "    def _reindex_store(self, e) -> StoreView:\n"
+                  "        return Other(e), StoreView\n")
+        frozen = frozenset({"LoadQuery", "StoreView"})
+        assert frozen_build_violations(source, frozen) == [
+            (4, "LoadQuery"), (7, "StoreView")]
+
+    def test_finds_frozen_dataclasses_by_binding(self):
+        @dataclasses.dataclass(frozen=True)
+        class Frozen:
+            x: int
+
+        @dataclasses.dataclass(slots=True)
+        class Mutable:
+            x: int
+
+        module = types.ModuleType("m")
+        module.Frozen, module.Alias, module.Mutable = Frozen, Frozen, Mutable
+        module.instance = Frozen(1)
+        assert frozen_dataclasses_of(module) == {"Frozen", "Alias"}
 
     def test_flags_snapshot_reads_and_builds(self):
         source = ("def f(b, n):\n"

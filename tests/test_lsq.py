@@ -5,11 +5,12 @@ import pytest
 from repro.arch.memory import SparseMemory
 from repro.errors import SimulationError
 from repro.isa import ProgramBuilder
+from repro.isa.limits import BlockLimits
 from repro.spec.policy import AggressivePolicy, ConservativePolicy
 from repro.uarch.cache import Cache
 from repro.uarch.config import default_config
-from repro.uarch.lsq import (Confirmed, LoadResponse, LoadStoreQueue,
-                             MemKind, Violation)
+from repro.uarch.lsq import (LSID_BITS, Confirmed, LoadResponse,
+                             LoadStoreQueue, MemKind, Violation)
 from repro.uarch.recovery import build_recovery
 
 
@@ -52,6 +53,18 @@ class TestRegistration:
         lsq.register_frame(0, 5, make_block("b", ["load"]))
         with pytest.raises(SimulationError):
             lsq.register_frame(1, 4, make_block("b", ["load"]))
+
+    def test_lsid_bound_must_fit_the_order_key(self):
+        # Integer order keys hold the LSID in LSID_BITS bits; a block
+        # whose limits allow larger LSIDs is refused, not misordered.
+        block = make_block("b", ["load"])
+        block.limits = BlockLimits(max_memory_ops=(1 << LSID_BITS) + 1)
+        lsq, _ = make_lsq()
+        with pytest.raises(SimulationError, match="LSID field"):
+            lsq.register_frame(0, 0, block)
+        block.limits = BlockLimits(max_memory_ops=1 << LSID_BITS)
+        lsq.register_frame(0, 0, block)
+        assert lsq.entry(0, 0).order_key == 0
 
     def test_drop_frame(self):
         lsq, _ = make_lsq()
@@ -112,6 +125,22 @@ class TestForwarding:
         (resp,) = lsq.load_request(0, 0, 0x100, wave=1)
         assert resp.value == 9
 
+    def test_straddling_store_forwards_from_both_buckets(self):
+        # Bytes 0x10C-0x113 lie in two of the index's 16-byte buckets.
+        lsq, _ = make_lsq()
+        lsq.register_frame(0, 0, make_block("a", ["store"]))
+        lsq.register_frame(1, 1, make_block("b", ["load", "load", "load"]))
+        lsq.store_update(0, 0, 0x10C, 0x8877665544332211, wave=1,
+                         final=False, null=False)
+        (low,) = lsq.load_request(1, 0, 0x108, wave=1)
+        (high,) = lsq.load_request(1, 1, 0x110, wave=1)
+        (whole,) = lsq.load_request(1, 2, 0x10C, wave=1)
+        assert low.value == 0x4433221100000000
+        assert high.value == 0x88776655
+        assert whole.value == 0x8877665544332211
+        assert lsq.stats.full_forwards == 1
+        assert lsq.stats.partial_forwards == 2
+
 
 class TestDependenceChecking:
     def _setup_conflict(self, recovery):
@@ -165,6 +194,18 @@ class TestDependenceChecking:
         redeliveries = [a for a in actions if isinstance(a, LoadResponse)]
         assert len(redeliveries) == 1
         assert redeliveries[0].value == 10
+
+    def test_straddling_store_rechecks_its_second_bucket(self):
+        lsq, _ = make_lsq()
+        lsq.register_frame(0, 0, make_block("a", ["store"]))
+        lsq.register_frame(1, 1, make_block("b", ["load"]))
+        (resp,) = lsq.load_request(1, 0, 0x110, wave=1)
+        assert resp.value == 0
+        # The store covers 0x10C-0x113: two buckets, the load in the second.
+        actions = lsq.store_update(0, 0, 0x10C, 0x8877665544332211, wave=1,
+                                   final=False, null=False)
+        (redelivery,) = [a for a in actions if isinstance(a, LoadResponse)]
+        assert redelivery.value == 0x88776655
 
     def test_stale_store_wave_ignored(self):
         lsq = self._setup_conflict("dsre")

@@ -7,7 +7,10 @@ network, LSQ, L1 and predictor stats, the halt flag — plus the digest of
 the committed architectural state.  The values were recorded while the
 simulator still carried a second, interpreted Token/Message execution
 path that matched the plan path counter for counter, so they stand in
-for that path as the oracle.
+for that path as the oracle.  Each case also pins the run's
+point-invariance certificate (``InvarianceCertificate.as_dict()``, which
+every cell record carries and elision reads); those were recorded later,
+from the same simulator, before its LSQ was rewritten for speed.
 
 Coverage: three hand-written kernels and two generated corpus programs
 at every registered machine point, seeded random programs, and random
@@ -95,6 +98,7 @@ def _observe(result):
         "lsq": _fields(result.lsq_stats),
         "l1": _fields(result.l1_stats),
         "predictor": _fields(result.predictor_stats),
+        "certificate": result.certificate.as_dict(),
         "arch_digest": arch_state_digest(result.arch),
         "halted": result.halted,
     }
