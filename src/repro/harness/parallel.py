@@ -12,7 +12,8 @@ and produces one :class:`CellResult` per cell, in plan order, by
    unless the remainder is smaller than ``jobs`` (or ``jobs=1``, or only
    one kernel is left), in which case everything runs in-process and no
    pool is ever spun up, and
-3. admitting fresh results to the cache.
+3. admitting fresh results to the cache as they arrive: each cell
+   in-process, each chunk pooled, while later chunks still run.
 
 Each kernel's **golden run** — the functional-interpreter trace and
 final architectural state — is derived exactly once per process and
@@ -592,12 +593,12 @@ class ParallelRunner:
                  pending: List[int]) -> Iterable[Tuple[int, dict]]:
         """Run the un-cached cells; yields ``(plan_index, record)``.
 
-        In-process, each cell is yielded as it completes, so the caller
-        admits and journals it at once: a crash mid-plan loses at most
-        the in-flight cell.  Pooled, :meth:`WorkerPool.run` returns only
-        after every chunk has finished, so nothing is yielded before
-        then: a crash mid-plan loses every pooled record of the plan
-        (finished chunks re-execute on resume).  Also fills the per-plan
+        Records are yielded as their work completes, so the caller
+        admits and journals them at once: in-process, each cell as it
+        completes, and a crash mid-plan loses at most the in-flight
+        cell; pooled, each chunk's records as soon as that chunk and
+        every chunk submitted before it have finished, and a crash loses
+        at most the chunks not yet yielded.  Also fills the per-plan
         redundancy counters consumed by :meth:`_account_plan` (complete
         once the iterator is exhausted).
         """
@@ -672,9 +673,10 @@ class ParallelRunner:
         key is cell count, not cost: chunks of equal size, such as E1's
         14 five-cell kernels, go in plan order whatever their simulation
         cost.  Chunks are never split — that would re-introduce
-        redundant golden runs.  Yields the records only once the whole
-        pool run has returned, chunk by chunk in submission order — not
-        as each chunk completes.
+        redundant golden runs.  Streams over :meth:`WorkerPool.stream`:
+        each chunk's records are yielded while later chunks still run,
+        chunk by chunk in submission order, so the journal's line order
+        does not depend on which worker finishes first.
         """
         shared: Dict[int, KernelInstance] = {}
         chunks = [[(index, self._pruned(cells[index], shared))
@@ -689,8 +691,8 @@ class ParallelRunner:
             self.pool = WorkerPool(self.effective_jobs)
         if self.pool.warm:
             self.pool_reuses += 1
-        for payload in self.pool.run(run_cell_chunk, chunks,
-                                     labels=chunk_digests):
+        for _, payload in self.pool.stream(run_cell_chunk, chunks,
+                                           labels=chunk_digests):
             self._plan_golden_fresh += payload["golden_fresh"]
             self._plan_golden_hits += payload["golden_hits"]
             self._plan_elide["elided"] += payload.get("elided", 0)

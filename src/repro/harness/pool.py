@@ -7,9 +7,11 @@ times, in six different processes), and every ``run_plan`` call built and
 tore down a fresh ``ProcessPoolExecutor``.  This module removes both:
 
 * :class:`WorkerPool` — a reusable process pool that is spun up at most
-  once per session, survives across consecutive plans, and transparently
-  respawns after a worker death (``BrokenProcessPool`` tasks are
-  resubmitted to a fresh executor, bounded by ``max_respawns``).
+  once per session, survives across consecutive plans, streams each
+  task's result back as it completes (:meth:`WorkerPool.stream`), and
+  transparently respawns after a worker death (``BrokenProcessPool``
+  tasks are resubmitted to a fresh executor, bounded by
+  ``max_respawns``).
 * **Kernel-affine chunks** — the runner groups a plan's un-cached cells
   by :meth:`KernelInstance.identity_digest` and submits one task per
   kernel (:func:`run_cell_chunk`), so every machine point of a kernel
@@ -32,11 +34,13 @@ import hashlib
 import os
 import pickle
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..arch.interp import run_program
 from ..arch.state import ArchState
@@ -265,16 +269,44 @@ def run_cell_chunk(chunk: Sequence) -> dict:
     }
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Executor initializer: end this worker when its parent is gone.
+
+    An idle worker blocks on the executor's call queue, so one whose
+    owner died without shutting the pool down (SIGKILL, an OOM kill,
+    ``os._exit``) would wait there forever, reparented to init.  A
+    daemon thread polls the parent pid and exits the worker once it
+    changes.  The parent is the owner under fork and spawn, and the fork
+    server, which exits with its owner, under forkserver.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="pool-parent-watch",
+                     daemon=True).start()
+
+
 class WorkerPool:
     """A process pool that outlives individual plans.
 
-    The executor is created lazily on the first :meth:`run` and reused by
-    every subsequent call until :meth:`close`; ``spinups`` counts how many
-    executors were ever built (1 for a healthy session).  A worker death
-    breaks a ``ProcessPoolExecutor`` wholesale, so :meth:`run` collects
-    the tasks whose futures failed with :class:`BrokenProcessPool`,
-    tears the executor down, and resubmits them to a fresh one — at most
-    ``max_respawns`` times, after which the breakage propagates.
+    The executor is created lazily on the first :meth:`stream` (or
+    :meth:`run`) and reused by every subsequent call until
+    :meth:`close`; ``spinups`` counts how many executors were ever built
+    (1 for a healthy session).  A worker death breaks a
+    ``ProcessPoolExecutor`` wholesale, so :meth:`stream` collects the
+    tasks whose futures failed with :class:`BrokenProcessPool`, tears the
+    executor down, and resubmits them to a fresh one — at most
+    ``max_respawns`` times, after which the breakage propagates.  Every
+    worker exits on its own once the process that owns the pool is gone,
+    so a killed owner leaves no worker behind.
     """
 
     def __init__(self, jobs: int, max_respawns: int = 2):
@@ -296,7 +328,8 @@ class WorkerPool:
 
     def _ensure_locked(self) -> Tuple[ProcessPoolExecutor, int]:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_exit_with_parent)
             self.spinups += 1
             self._generation += 1
         return self._executor, self._generation
@@ -316,19 +349,25 @@ class WorkerPool:
         """True once an executor exists (the next plan reuses it)."""
         return self._executor is not None
 
-    def run(self, fn: Callable, tasks: Sequence,
-            labels: Optional[Sequence] = None) -> List:
-        """Run ``fn`` over ``tasks``; results in task order.
+    def stream(self, fn: Callable, tasks: Sequence,
+               labels: Optional[Sequence] = None,
+               ) -> Iterator[Tuple[int, object]]:
+        """Run ``fn`` over ``tasks``; yield ``(index, result)`` pairs.
 
-        Tasks lost to a dead worker are retried on a respawned executor;
-        any other exception from ``fn`` propagates unchanged.  When the
-        respawn budget runs out, the raised :class:`PoolExhaustedError`
-        carries ``labels[i]`` (or ``i`` when no labels were given) for
-        every task that never finished.
+        Every task is submitted at once, and results are yielded in
+        submission order, each as soon as its own future completes, so
+        the caller can use the first results while later tasks still
+        run.  Tasks lost to a dead worker are resubmitted to a respawned
+        executor once the round's other results have been yielded, and
+        are yielded then; any other exception from ``fn`` propagates
+        unchanged.  When the respawn budget runs out, the raised
+        :class:`PoolExhaustedError` carries ``labels[i]`` (or ``i`` when
+        no labels were given) for every task that never finished.  When
+        the caller stops early (closes the generator) or a task raises,
+        the tasks that have not started are cancelled.
         """
         if labels is not None and len(labels) != len(tasks):
             raise ValueError("labels must parallel tasks")
-        results: List = [None] * len(tasks)
         pending = list(range(len(tasks)))
         respawns = 0
         while pending:
@@ -336,18 +375,24 @@ class WorkerPool:
                 executor, generation = self._ensure_locked()
             futures = []
             broken: List[int] = []
-            for i in pending:
-                try:
-                    futures.append((i, executor.submit(fn, tasks[i])))
-                except RuntimeError:
-                    # Another thread retired this executor mid-submit;
-                    # treat the task as broken and retry on the next one.
-                    broken.append(i)
-            for i, future in futures:
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool:
-                    broken.append(i)
+            try:
+                for i in pending:
+                    try:
+                        futures.append((i, executor.submit(fn, tasks[i])))
+                    except RuntimeError:
+                        # Another thread retired this executor mid-submit;
+                        # treat the task as broken and retry on the next.
+                        broken.append(i)
+                for i, future in futures:
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken.append(i)
+                        continue
+                    yield i, result
+            finally:
+                for _, future in futures:
+                    future.cancel()
             if broken:
                 broken.sort()
                 respawns += 1
@@ -362,6 +407,18 @@ class WorkerPool:
                 self._retire(generation)
             pending = broken
         self.tasks_run += len(tasks)
+
+    def run(self, fn: Callable, tasks: Sequence,
+            labels: Optional[Sequence] = None) -> List:
+        """Run ``fn`` over ``tasks``; results in task order.
+
+        Collects :meth:`stream`, so tasks lost to a dead worker, the
+        respawn budget and :class:`PoolExhaustedError` behave exactly as
+        there.
+        """
+        results: List = [None] * len(tasks)
+        for i, result in self.stream(fn, tasks, labels):
+            results[i] = result
         return results
 
     def close(self) -> None:

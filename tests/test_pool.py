@@ -3,9 +3,15 @@ per-process golden memo (repro.harness.pool)."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.harness import (ParallelRunner, PoolExhaustedError, ResultCache,
                            SweepPlan, WorkerPool, golden_for,
@@ -52,6 +58,56 @@ def _boom(_task):
 
 def _echo_pid(task):
     return (os.getpid(), task)
+
+
+def _die_on(task):
+    """Kill the worker on the task ``"die"``; echo every other task."""
+    if task == "die":
+        os._exit(1)
+    return task
+
+
+def _note_and_sleep(task):
+    """Leave a file named after the task, then take a little while."""
+    directory, i = task
+    with open(os.path.join(directory, str(i)), "w"):
+        pass
+    time.sleep(0.05)
+    return i
+
+
+#: A pool owner that dies without shutting its pool down: it writes its
+#: workers' pids to ``argv[1]`` and calls ``os._exit``.
+OWNER_SCRIPT = textwrap.dedent("""
+    import json, multiprocessing, os, sys
+    from repro.harness.pool import WorkerPool
+
+    pool = WorkerPool(2)
+    pool.run(abs, [-1, -2, -3, -4])
+    with open(sys.argv[1], "w") as fh:
+        json.dump([p.pid for p in multiprocessing.active_children()], fh)
+    os._exit(9)
+""")
+
+
+def _running(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _kill_group(pgid):
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 class TestWorkerPool:
@@ -112,6 +168,71 @@ class TestWorkerPool:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
             WorkerPool(jobs=0)
+
+    def test_workers_exit_when_the_owner_dies(self, tmp_path):
+        """An owner killed without shutting its pool down leaves no
+        worker behind: each one notices its parent is gone and exits."""
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        pids_path = tmp_path / "workers.json"
+        owner = subprocess.Popen(
+            [sys.executable, "-c", OWNER_SCRIPT, str(pids_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL, start_new_session=True)
+        try:
+            assert owner.wait(timeout=60) == 9
+            pids = json.loads(pids_path.read_text())
+            assert pids
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            _kill_group(owner.pid)
+
+
+class TestStream:
+    def test_every_task_once_in_submission_order(self):
+        with WorkerPool(jobs=2) as pool:
+            out = list(pool.stream(_echo_pid, list(range(7))))
+            assert pool.tasks_run == 7
+        assert [i for i, _ in out] == list(range(7))
+        assert [task for _, (_, task) in out] == list(range(7))
+
+    def test_worker_killed_mid_stream_is_resubmitted(self, tmp_path):
+        done = str(tmp_path / "already-died")
+        with open(done, "w"):
+            pass
+        fresh = str(tmp_path / "dies-once")
+        tasks = [(done, "a"), (fresh, "b"), (done, "c")]
+        with WorkerPool(jobs=1) as pool:
+            stream = pool.stream(_exit_once, tasks)
+            assert next(stream) == (0, "a")
+            assert list(stream) == [(1, "b"), (2, "c")]
+            assert pool.broken_recoveries == 1
+
+    def test_exhaustion_after_earlier_results_were_yielded(self):
+        yielded = []
+        with WorkerPool(jobs=1, max_respawns=0) as pool:
+            with pytest.raises(PoolExhaustedError) as info:
+                for item in pool.stream(_die_on, ["a", "die", "c"],
+                                        labels=["la", "ldie", "lc"]):
+                    yielded.append(item)
+        assert yielded == [(0, "a")]
+        assert info.value.unfinished == ["ldie", "lc"]
+
+    def test_closing_early_cancels_the_rest(self, tmp_path):
+        tasks = [(str(tmp_path), i) for i in range(12)]
+        with WorkerPool(jobs=1) as pool:
+            stream = pool.stream(_note_and_sleep, tasks)
+            assert next(stream) == (0, 0)
+            stream.close()
+            # One worker runs tasks in submission order, so the tasks
+            # that had started finish before this run's.
+            out = pool.run(_echo_pid, [10, 11, 12])
+            assert [task for _, task in out] == [10, 11, 12]
+            assert pool.spinups == 1 and pool.broken_recoveries == 0
+        assert len(os.listdir(tmp_path)) < len(tasks)
 
 
 class TestGoldenMemo:
@@ -250,9 +371,9 @@ class TestRunnerPooling:
         captured = {}
 
         class _SpyPool(WorkerPool):
-            def run(self, fn, tasks, labels=None):
+            def stream(self, fn, tasks, labels=None):
                 captured["labels"] = list(labels or [])
-                return super().run(fn, tasks, labels=labels)
+                return super().stream(fn, tasks, labels=labels)
 
         plan = two_kernel_plan()
         expected = {cell.instance.identity_digest() for cell in plan}
