@@ -2,13 +2,11 @@
 protocol — wave-tagged tokens, multi-producer operand buffers, selective
 re-fire rules, and the trailing commit wave."""
 
-from .buffers import Effective, TokenBuffer
+from .buffers import TokenBuffer
 from .node import InstructionNode, NodeState, Outcome, OutcomeKind
-from .tokens import (BRANCH_DEST, DestKey, ProducerKey, SlotStatus, Token,
-                     TokenValue, inst_dest, write_dest)
+from .tokens import ProducerKey, SlotStatus, TokenValue
 
 __all__ = [
-    "BRANCH_DEST", "DestKey", "Effective", "InstructionNode", "NodeState",
-    "Outcome", "OutcomeKind", "ProducerKey", "SlotStatus", "Token",
-    "TokenBuffer", "TokenValue", "inst_dest", "write_dest",
+    "InstructionNode", "NodeState", "Outcome", "OutcomeKind", "ProducerKey",
+    "SlotStatus", "TokenBuffer", "TokenValue",
 ]

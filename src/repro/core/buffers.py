@@ -31,17 +31,20 @@ fields.  Two classes share that layout:
   reference the sole-producer class is property-tested against
   (``tests/test_buffers.py``).
 
+A deposit is :meth:`~TokenBuffer.deposit4` with the token's fields as
+scalar arguments ``(producer, wave, value, final)``.
+
 :func:`new_buffer` picks the class from the producer count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import SimulationError
 from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
-                     ProducerKey, SlotStatus, Token, TokenValue)
+                     ProducerKey, TokenValue)
 
 
 @dataclass(slots=True)
@@ -51,31 +54,8 @@ class _Latest:
     final: bool
 
 
-class Effective:
-    """Snapshot of a slot's resolved state, built on demand.
-
-    Buffers hold their state in their own fields and the per-event code
-    reads those; ``buffer.effective`` copies them into one of these for
-    cold readers (machine snapshots in ``repro.uarch.events``, tests).
-    A plain ``__slots__`` class.
-    """
-
-    __slots__ = ("status", "value", "producer", "wave")
-
-    def __init__(self, status: SlotStatus, value: TokenValue = None,
-                 producer: Optional[ProducerKey] = None, wave: int = -1):
-        self.status = status
-        self.value = value
-        self.producer = producer
-        self.wave = wave
-
-    @property
-    def resolved(self) -> bool:
-        return self.status is not STATUS_EMPTY
-
-
 class _SlotFields:
-    """The resolved-state fields and cold readers both buffers share."""
+    """The resolved-state fields both buffers share."""
 
     __slots__ = ("status", "value", "producer", "wave", "final")
 
@@ -91,24 +71,6 @@ class _SlotFields:
         self.wave = -1
         self.final = False
 
-    @property
-    def effective(self) -> Effective:
-        """A fresh snapshot of the resolved state (cold readers only)."""
-        return Effective(self.status, self.value, self.producer, self.wave)
-
-    @property
-    def resolved(self) -> bool:
-        return self.status is not STATUS_EMPTY
-
-    def is_final(self) -> bool:
-        """True when every producer has committed (sent a final token)."""
-        return self.final
-
-    def deposit(self, token: Token) -> Tuple[bool, bool]:
-        """Absorb a token; return ``(effective_changed, finality_changed)``."""
-        return self.deposit4(token.producer, token.wave, token.value,
-                             token.final)
-
 
 class TokenBuffer(_SlotFields):
     """Latest-token-per-producer buffer for one consumption point.
@@ -121,36 +83,27 @@ class TokenBuffer(_SlotFields):
 
     __slots__ = ("_order", "_latest")
 
-    def __init__(self, producers: Sequence[ProducerKey]):
-        if not producers:
-            raise SimulationError("token buffer with no static producers")
-        self._order: Dict[ProducerKey, int] = {
-            p: n for n, p in enumerate(producers)}
+    def __init__(self, order: Dict[ProducerKey, int]):
+        """Wrap a producer -> position map.
+
+        Frames of the same block would rebuild identical producer-order
+        maps for every slot; the frame template validates them once and
+        hands the same dict to every instance — the buffer itself never
+        mutates it.
+        """
+        self._order = order
         self._latest: Dict[ProducerKey, _Latest] = {}
         self.reset()
-
-    @classmethod
-    def from_shared(cls, order: Dict[ProducerKey, int]) -> "TokenBuffer":
-        """Construct around a prebuilt (and shared, read-only) order map.
-
-        Frames of the same block rebuild identical producer-order maps for
-        every slot; the frame template validates them once and hands the
-        same dict to every instance — the buffer itself never mutates it.
-        """
-        buf = cls.__new__(cls)
-        buf._order = order
-        buf._latest = {}
-        buf.reset()
-        return buf
 
     # ------------------------------------------------------------------
 
     def deposit4(self, producer: ProducerKey, wave: int, value: TokenValue,
                  final: bool) -> Tuple[bool, bool]:
-        """Scalar-argument :meth:`deposit` — the processor carries token
-        fields as flat tuple slots, so the buffer absorbs them without a
-        Token shell.  Stale tokens (lower wave than already seen from the
-        same producer) are dropped — they lost a race against a newer
+        """Absorb one token; return ``(changed, finality_changed)``.
+
+        ``changed`` says the slot's status or effective value moved.
+        Stale tokens (lower wave than already seen from the same
+        producer) are dropped — they lost a race against a newer
         re-execution.
         """
         current = self._latest.get(producer)
@@ -226,17 +179,11 @@ class TokenBuffer(_SlotFields):
         self._latest.clear()
         _SlotFields.reset(self)
 
-    def producers(self) -> List[ProducerKey]:
-        return list(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
 
 class SoleBuffer(_SlotFields):
     """A consumption point with exactly one static producer.
 
-    Behaves exactly like ``TokenBuffer([key])`` — same ``(changed,
+    Behaves exactly like ``TokenBuffer({key: 0})`` — same ``(changed,
     finality)`` answers, same errors, same fields after every deposit —
     without the per-producer dict: the resolved state *is* the producer's
     latest token.  EMPTY means no token has arrived; ``_seen`` holds the
@@ -291,12 +238,6 @@ class SoleBuffer(_SlotFields):
         self.wave = wave
         return changed, finality
 
-    def producers(self) -> List[ProducerKey]:
-        return [self._key]
-
-    def __len__(self) -> int:
-        return 1
-
 
 #: Either buffer class; both carry the same resolved-state fields.
 SlotBuffer = Union[TokenBuffer, SoleBuffer]
@@ -313,4 +254,4 @@ def new_buffer(order: Dict[ProducerKey, int]) -> SlotBuffer:
         return SoleBuffer(key)
     if not order:
         raise SimulationError("token buffer with no static producers")
-    return TokenBuffer.from_shared(order)
+    return TokenBuffer(order)

@@ -2,13 +2,15 @@
 
 A node wraps one mapped instruction of one in-flight frame.  It owns a
 token buffer (:mod:`repro.core.buffers`) per required operand slot and
-implements the three rules of the DSRE protocol:
+holds the state behind the three rules of the DSRE protocol:
 
 **Fire rule** — a node issues when every required slot is resolved and its
 current effective inputs differ from the inputs of its last issue.  The
 first condition gives ordinary dataflow firing; the second gives *selective
 re-execution*: only nodes whose inputs actually changed re-fire, and a
-re-fired node tags its outputs with a higher wave.
+re-fired node tags its outputs with a higher wave.  The processor applies
+it (``Processor._on_node_event`` enqueues, the tile walk in
+``Processor.run`` issues) against :meth:`InstructionNode.current_signature`.
 
 **Suppression rule** — a re-execution that recomputes the *same* output does
 not emit tokens, so a speculative wave dies out at the first instruction
@@ -21,6 +23,9 @@ commit-wave token is emitted (or, if the value was already sent and inputs
 were final at that time, the original token was already marked final —
 ``eager finality``).  Loads are the exception: their finality additionally
 requires LSQ confirmation, which is the paper's load-speculation resolution.
+
+Nodes are built only from a frame template (:func:`build_node_template`
+and :meth:`InstructionNode.from_template`).
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from ..isa.semantics import alu_callable, effective_address
 from ..isa.values import WORD_MASK
 from ..isa.values import is_true, to_unsigned
 from .buffers import SlotBuffer, new_buffer
-from .tokens import (STATUS_ALL_NULL, STATUS_EMPTY, STATUS_VALUE,
-                     ProducerKey, Token, TokenValue)
+from .tokens import STATUS_ALL_NULL, STATUS_VALUE, ProducerKey, TokenValue
 
 #: Signature of an issue: per required slot, the (producer, wave) that fed it
 #: (``None`` entries stand for ALL_NULL slots).
@@ -120,7 +124,7 @@ class InstructionNode:
     """One instruction of one in-flight frame."""
 
     __slots__ = (
-        "frame_uid", "index", "inst", "_buffers", "state",
+        "frame_uid", "index", "inst", "state",
         "exec_count", "out_wave", "issued_signature", "last_outcome",
         "last_sent", "final_emitted", "lsq_value", "lsq_value_wave",
         "exec_useful", "last_lsq", "_buffer_list", "_sig_slots",
@@ -128,34 +132,21 @@ class InstructionNode:
         "_plan", "_producer_key", "life",
     )
 
-    def __init__(self, frame_uid: int, index: int, inst: Instruction,
-                 slot_producers: Dict[Slot, List[ProducerKey]]):
-        self.frame_uid = frame_uid
-        self.index = index
-        self.inst = inst
-        buffers: Dict[Slot, SlotBuffer] = {}
-        for slot in inst.required_slots():
-            producers = slot_producers.get(slot)
-            if not producers:
-                raise SimulationError(
-                    f"I{index} slot {slot.name} mapped with no producers")
-            buffers[slot] = new_buffer(
-                {p: n for n, p in enumerate(producers)})
-        self._buffers = buffers
-        self._finish_init()
-
     @classmethod
     def from_template(cls, frame_uid: int, index: int, inst: Instruction,
                       slot_orders, plan, producer_key,
                       sig_slots) -> "InstructionNode":
-        """Fast construction from a prevalidated frame template.
+        """Construct from a prevalidated frame template (the only way
+        nodes are built).
 
         ``slot_orders`` is a tuple of (slot value, shared producer-order
         dict) pairs in slot-value order — see :func:`build_node_template`.
-        Mapping a frame builds every node of the block through here, so
-        this duplicates ``_finish_init`` inline rather than paying
-        per-node calls; the ``buffers`` dict view is materialised lazily
-        (cold paths only).
+        ``_buffer_list`` holds one buffer per required slot in signature
+        order (ascending slot value, the slots in ``_sig_slots``), and
+        ``_buf_by_val`` maps a slot value to its buffer.  ``life`` counts
+        the node's dynamic instances under arena recycling: bumped by
+        every ``reset_for_reuse`` so stale tile-heap entries (tagged with
+        the life they were pushed under) are recognisably dead.
         """
         node = cls.__new__(cls)
         node.frame_uid = frame_uid
@@ -167,7 +158,6 @@ class InstructionNode:
             buf = new_buffer(order)
             buffer_list.append(buf)
             buf_by_val[val] = buf
-        node._buffers = None
         node._buffer_list = buffer_list
         node._sig_slots = sig_slots
         node._buf_by_val = buf_by_val
@@ -191,56 +181,14 @@ class InstructionNode:
         node.last_lsq = None
         return node
 
-    @property
-    def buffers(self) -> Dict[Slot, SlotBuffer]:
-        """Slot -> buffer mapping (cold paths; built lazily per node)."""
-        d = self._buffers
-        if d is None:
-            d = dict(zip(self._sig_slots, self._buffer_list))
-            self._buffers = d
-        return d
-
-    def _finish_init(self) -> None:
-        # Hot-path views of ``buffers``: the plain value list and slot
-        # tuple in signature order (sorted by slot value), and an
-        # int-keyed map that avoids hashing Slot enum members per deposit.
-        pairs = sorted(self._buffers.items(), key=lambda kv: kv[0].value)
-        self._buffer_list = [buf for _, buf in pairs]
-        self._sig_slots = tuple(slot for slot, _ in pairs)
-        self._buf_by_val = {slot._value_: buf for slot, buf in pairs}
-        self._op0_buf = self._buf_by_val.get(SLOT_OP0._value_)
-        self._op1_buf = self._buf_by_val.get(SLOT_OP1._value_)
-        self._pred_buf = self._buf_by_val.get(SLOT_PRED._value_)
-        self._plan = _exec_plan(self.inst)
-        self._producer_key = ("inst", self.index)
-        self._sig_cache: Optional[IssueSignature] = None
-        #: Dynamic-instance generation counter for arena recycling: bumped
-        #: by every ``reset_for_reuse`` so stale tile-heap entries (tagged
-        #: with the life they were pushed under) are recognisably dead.
-        self.life = 0
-        self.state = NODE_IDLE
-        self.exec_count = 0            # times through a functional unit
-        self.out_wave = 0              # output generation counter
-        self.issued_signature: Optional[IssueSignature] = None
-        self.last_outcome: Optional[Outcome] = None
-        #: (value, final) of the last token batch actually sent, or None.
-        self.last_sent: Optional[Tuple[TokenValue, bool]] = None
-        self.final_emitted = False
-        #: Latest value the LSQ returned for this load (loads only).
-        self.lsq_value: Optional[int] = None
-        self.lsq_value_wave = 0
-        self.exec_useful = 0           # executions that produced non-null
-        #: Last (addr, value, null, final) shipped to the LSQ (dedup).
-        self.last_lsq: Optional[Tuple] = None
-
     def reset_for_reuse(self, frame_uid: int) -> None:
         """Return this node to its just-mapped state (arena recycling).
 
         Mirrors exactly the mutable-state initialisation of
-        ``from_template``/``_finish_init``: everything a fresh node starts
-        with is restored, everything static (instruction, plan, producer
-        key, buffer wiring) is kept, and ``life`` is bumped so heap
-        entries pushed under the previous life are recognisably stale.
+        ``from_template``: everything a fresh node starts with is
+        restored, everything static (instruction, plan, producer key,
+        buffer wiring) is kept, and ``life`` is bumped so heap entries
+        pushed under the previous life are recognisably stale.
         A recycled node must leak no state — asserted end-to-end by
         ``tests/test_arena.py``.
         """
@@ -265,18 +213,6 @@ class InstructionNode:
     # Input side
     # ------------------------------------------------------------------
 
-    def deposit(self, token: Token) -> bool:
-        """Absorb an operand token; True if the node may need (re-)issuing
-        or finalising."""
-        slot = token.dest[2]
-        buffer = (self._buf_by_val.get(slot._value_)
-                  if slot is not None else None)
-        if buffer is None:
-            raise SimulationError(f"token to unmapped slot: {token}")
-        self._sig_cache = None
-        effective_changed, finality_changed = buffer.deposit(token)
-        return effective_changed or finality_changed
-
     def inputs_final(self) -> bool:
         for b in self._buffer_list:
             if not b.final:
@@ -284,8 +220,9 @@ class InstructionNode:
         return True
 
     def current_signature(self) -> IssueSignature:
-        # Buffer state only changes through deposit(), which clears the
-        # cache; between deposits the signature is immutable.
+        # Buffer state only changes through deposits, and the delivery
+        # sweep clears the cache before each; between deposits the
+        # signature is immutable.
         sig = self._sig_cache
         if sig is not None:
             return sig
@@ -304,28 +241,8 @@ class InstructionNode:
         return sig
 
     # ------------------------------------------------------------------
-    # Fire rule
+    # Execution
     # ------------------------------------------------------------------
-
-    def can_issue(self) -> bool:
-        if self.state is not NODE_IDLE:
-            return False
-        for b in self._buffer_list:
-            if b.status is STATUS_EMPTY:
-                return False
-        return self.exec_count == 0 \
-            or self.current_signature() != self.issued_signature
-
-    def begin_execution(self) -> None:
-        if not self.can_issue():
-            raise SimulationError(f"I{self.index} issued while not ready")
-        self._begin_issued()
-
-    def _begin_issued(self) -> None:
-        """Issue without revalidating (caller just checked ``can_issue``)."""
-        self.state = NODE_EXECUTING
-        self.issued_signature = self.current_signature()
-        self.exec_count += 1
 
     def complete_execution(self) -> Outcome:
         """Finish the FU pass and compute the outcome from the issued inputs.
@@ -442,9 +359,9 @@ def build_node_template(index: int, inst: Instruction,
                         slot_producers: Dict[Slot, List[ProducerKey]]):
     """Precompute one instruction's node-construction data.
 
-    Runs the same validation as ``InstructionNode.__init__`` but once per
-    static block instead of once per frame; the producer-order dicts it
-    builds are shared (read-only) by every frame's buffers.
+    Validates once per static block instead of once per frame; the
+    producer-order dicts it builds are shared (read-only) by every
+    frame's buffers.
     """
     orders = []
     for slot in inst.required_slots():

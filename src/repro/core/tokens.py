@@ -1,6 +1,9 @@
 """Wave-tagged operand tokens — the currency of the DSRE protocol.
 
-Every value that moves through the machine is a :class:`Token`:
+Every value that moves through the machine is a token, carried as a flat
+entry on the operand network (the entry layouts are tabulated in
+:mod:`repro.uarch.specialize`).  An operand token names its consuming
+frame and slot and carries ``(producer, wave, value, final)``:
 
 * ``wave`` is the producer's execution count.  A producer that re-executes
   (because one of *its* inputs changed) emits tokens with a higher wave;
@@ -13,39 +16,22 @@ Every value that moves through the machine is a :class:`Token`:
   the architecturally-correct value (or null).  A frame commits when all of
   its outputs have received final tokens — the commit wave "propagating
   behind" the speculative waves of the paper.
+
+Frame uids are monotonically increasing and never reused, so tokens
+addressed to a squashed frame are simply dropped on delivery.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
-
-from ..isa.instruction import Slot
+from typing import Tuple, Union
 
 #: A producer inside a frame: ``("read", i)`` or ``("inst", i)``.
 ProducerKey = Tuple[str, int]
 
-#: Where a token is consumed:
-#:   ("inst", index, slot)  — an instruction operand slot
-#:   ("write", index, None) — a register write slot
-#:   ("branch", 0, None)    — the frame's branch unit
-DestKey = Tuple[str, int, Optional[Slot]]
-
 #: Token payloads are 64-bit carrier ints, branch-target labels, or None
 #: (NULL token).
 TokenValue = Union[int, str, None]
-
-
-def inst_dest(index: int, slot: Slot) -> DestKey:
-    return ("inst", index, slot)
-
-
-def write_dest(index: int) -> DestKey:
-    return ("write", index, None)
-
-
-BRANCH_DEST: DestKey = ("branch", 0, None)
 
 
 class SlotStatus(enum.Enum):
@@ -60,26 +46,3 @@ class SlotStatus(enum.Enum):
 STATUS_EMPTY = SlotStatus.EMPTY
 STATUS_VALUE = SlotStatus.VALUE
 STATUS_ALL_NULL = SlotStatus.ALL_NULL
-
-
-@dataclass(slots=True)
-class Token:
-    """One operand delivery.
-
-    ``frame_uid`` names the consuming frame (frame uids are monotonically
-    increasing and never reused, so tokens addressed to a squashed frame are
-    simply dropped in flight).
-    """
-
-    frame_uid: int
-    dest: DestKey
-    producer: ProducerKey
-    wave: int
-    value: TokenValue
-    final: bool = False
-
-    def __str__(self) -> str:
-        val = "NULL" if self.value is None else self.value
-        flag = "F" if self.final else "s"
-        return (f"<tok f{self.frame_uid} {self.producer}->{self.dest} "
-                f"w{self.wave}:{val}:{flag}>")

@@ -16,10 +16,10 @@ truncated JSON, wrong schema, key mismatch, missing sections — is deleted
 and reported as *corrupt*; the caller simply re-simulates.
 
 The cache root may be **shared by several processes** (parallel CLI runs,
-the sweep server, multi-process shards).  The invariants that make that
-safe — atomic replace-only writes, mtime-guarded corrupt-entry deletion,
-``*.tmp.*`` files invisible to every scan and reaped only when aged — are
-documented in ``docs/HARNESS.md`` ("Shared cache root").
+the sweep server, ``corpus fill --shard`` processes).  The invariants that
+make that safe — atomic replace-only writes, mtime-guarded corrupt-entry
+deletion, ``*.tmp.*`` files invisible to every scan and reaped only when
+aged — are documented in ``docs/HARNESS.md`` ("Shared cache root").
 
 The cache stores only architectural digests and counters, never the full
 final state: admission is gated by the differential check in
@@ -107,8 +107,8 @@ class ResultCache:
     process *owns* (i.e. is expected to execute) only the keys whose
     leading digest byte falls in its slice — see :meth:`owns_key`.  All
     shards read and write the whole root; ownership only partitions who
-    pays for a miss, which is what lets several server processes share
-    one cache root without duplicating work.
+    pays for a miss, which is what lets several ``corpus fill --shard``
+    processes share one cache root without duplicating work.
     """
 
     def __init__(self, root: str = ".repro-cache",
@@ -165,19 +165,6 @@ class ResultCache:
             self._unlink_if_unchanged(path, before)
             return None
         self.session.hits += 1
-        return record
-
-    def peek(self, key: str) -> Optional[dict]:
-        """Like :meth:`load`, but with no session accounting and no
-        corrupt-entry deletion — safe for cross-process polling (a peer
-        shard may be mid-write; just report "not there yet")."""
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            self._validate(key, record)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError,
-                KeyError, UnicodeDecodeError, ConfigError):
-            return None
         return record
 
     @staticmethod

@@ -144,21 +144,9 @@ def _serve_command(argv: List[str]) -> int:
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="worker processes (default: all CPUs)")
     parser.add_argument("--cache-dir", default=".repro-cache")
-    parser.add_argument("--quota-capacity", type=int, default=512,
-                        metavar="CELLS",
-                        help="per-tenant burst budget in cells "
-                             "(default: %(default)s)")
-    parser.add_argument("--quota-refill", type=float, default=64.0,
-                        metavar="CELLS/S",
-                        help="per-tenant sustained rate "
-                             "(default: %(default)s)")
     parser.add_argument("--batch-window", type=float, default=0.02,
                         metavar="SEC",
                         help="submission-coalescing window "
-                             "(default: %(default)s)")
-    parser.add_argument("--shard-id", type=int, default=0)
-    parser.add_argument("--shard-count", type=int, default=1,
-                        help="server processes sharing this cache root "
                              "(default: %(default)s)")
     parser.add_argument("--drain-linger", type=float, default=1.0,
                         metavar="SEC",
@@ -172,9 +160,7 @@ def _serve_command(argv: List[str]) -> int:
 
     config = ServerConfig(
         host=args.host, port=args.port, jobs=args.jobs,
-        cache_dir=args.cache_dir, quota_capacity=args.quota_capacity,
-        quota_refill=args.quota_refill, batch_window=args.batch_window,
-        shard_id=args.shard_id, shard_count=args.shard_count,
+        cache_dir=args.cache_dir, batch_window=args.batch_window,
         drain_linger=args.drain_linger)
     return SweepServer(config).serve_forever(port_file=args.port_file)
 

@@ -56,13 +56,6 @@ from .pool import (GOLDEN_STORE_COUNTS, SweepMetrics, WorkerPool,
 from .runner import POINT_ORDER
 from .sweep import SweepCell, SweepPlan
 
-#: Legacy single-writer session-metrics name.  Runners now write
-#: per-process ``session.<pid>.json`` shards (two runners sharing a
-#: cache root must not clobber each other's counters — last-writer-wins
-#: silently lost whole sessions); the legacy name is still *read* by
-#: :func:`merge_session_metrics` so old roots keep reporting.
-SESSION_METRICS_FILE = "session.json"
-
 #: Session-shard counters that sum across processes when merging.
 _SESSION_SUM_KEYS = ("plans_run", "cells_executed", "cells_from_cache",
                      "kernels_executed", "golden_fresh_runs",
@@ -103,14 +96,18 @@ def session_shard_path(root: str, pid: Optional[int] = None) -> str:
 
 
 def session_shard_files(root: str) -> List[str]:
-    """Every session shard under ``root`` (including the legacy name),
-    skipping in-flight ``*.tmp.*`` writer files."""
+    """Every ``session.<pid>.json`` shard under ``root``.
+
+    Each runner process writes its own shard, so runners sharing a cache
+    root never clobber each other's counters.  In-flight ``*.tmp.*``
+    writer files, and any other ``session.*`` name, are skipped."""
     out = []
     if not os.path.isdir(root):
         return out
     for name in sorted(os.listdir(root)):
-        if (name.startswith("session.") and name.endswith(".json")
-                and ".tmp." not in name):
+        parts = name.split(".")
+        if (len(parts) == 3 and parts[0] == "session"
+                and parts[1].isdigit() and parts[2] == "json"):
             out.append(os.path.join(root, name))
     return out
 

@@ -16,18 +16,14 @@
   including the merged per-process session shards of every runner that
   ever used this cache root.
 
-Core mechanisms, in the shape of Li et al.'s distributed speculative
-execution: work is **deduplicated** (two requests for the same
+Core mechanisms: work is **deduplicated** (two requests for the same
 ``(identity_digest, config)`` cell share one in-flight execution keyed
 on the cache key), **batched** (cells submitted within one batching
 window are regrouped into kernel-affine chunks before pool submission,
-so concurrent tenants share golden runs), **quota-limited** (per-tenant
-token buckets refuse runaway submitters with 429), **sharded** (with
-``shard_count > 1`` each server process executes only the cache keys
-whose digest prefix it owns and *polls the shared cache* for the rest,
-re-issuing locally if the owner never delivers — speculative re-issue),
-and **drained gracefully** on SIGTERM (new plans are refused, in-flight
-chunks finish, session metrics are persisted, then the process exits).
+so concurrent plans share golden runs), and **drained gracefully** on
+SIGTERM (new plans are refused, in-flight chunks finish, session
+metrics are persisted, then the process exits).  A request's
+``X-Tenant`` header only labels its plan's status.
 
 The protocol is deliberately minimal HTTP/1.1 (one request per
 connection) so the server needs nothing beyond the standard library.
@@ -63,27 +59,10 @@ from .sweep import SweepPlan
 #: Largest accepted request body (a plan is a few KB of JSON).
 MAX_BODY_BYTES = 1 << 20
 
-#: Rough cell counts per kernel for experiment-mode quota charging (the
-#: exact grid is only knowable after expansion; estimates only gate
-#: admission, never execution).
-EXPERIMENT_CELLS_PER_KERNEL = {
-    "t1": 0, "t2": 0, "e1": 5, "e2": 12, "e3": 2, "e4": 7,
-    "e5": 6, "e6": 2, "e8": 5,
-}
-#: E7 sweeps a synthetic kernel grid and E9/E10 a sampled corpus — all
-#: independent of ``kernels``.  E9's price covers its fast sample (12
-#: programs x 6 legacy points) and E10's the same sample across all 7
-#: registered points; a ``sample`` override re-prices them below using
-#: each experiment's own point count (E9 stays pinned to the legacy six
-#: even though seven points are registered).
-EXPERIMENT_FLAT_CELLS = {"e7": 24, "e9": 72, "e10": 84}
-EXPERIMENT_SAMPLE_POINTS = {"e9": 6, "e10": 7}
-
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
@@ -100,46 +79,13 @@ class ServerConfig:
     jobs: int = 0                    # 0: one worker per CPU
     cache_dir: str = ".repro-cache"
     max_respawns: int = 2
-    #: Token bucket per tenant: burst capacity and sustained refill,
-    #: both in cells.
-    quota_capacity: int = 512
-    quota_refill: float = 64.0
     #: Seconds submissions are coalesced before kernel-affine chunking.
     batch_window: float = 0.02
-    #: Digest-prefix sharding across server processes sharing one cache
-    #: root: this process executes only keys with
-    #: ``int(key[:2], 16) % shard_count == shard_id``.
-    shard_id: int = 0
-    shard_count: int = 1
-    #: How long to wait for the owning peer shard to publish a cell
-    #: before re-issuing it locally, and how often to poll the cache.
-    peer_wait: float = 5.0
-    peer_poll: float = 0.1
     #: After the last in-flight plan finishes during drain, keep serving
     #: GETs this long so clients can collect their tables.
     drain_linger: float = 1.0
     #: Concurrent plan-evaluation threads.
     max_plans: int = 8
-
-
-class TokenBucket:
-    """Classic token bucket; tokens are sweep cells."""
-
-    def __init__(self, capacity: float, refill_per_sec: float):
-        self.capacity = float(capacity)
-        self.refill = float(refill_per_sec)
-        self.level = float(capacity)
-        self._last = time.monotonic()
-
-    def try_take(self, tokens: float) -> bool:
-        now = time.monotonic()
-        self.level = min(self.capacity,
-                         self.level + (now - self._last) * self.refill)
-        self._last = now
-        if tokens > self.level:
-            return False
-        self.level -= tokens
-        return True
 
 
 class PlanJob:
@@ -150,12 +96,10 @@ class PlanJob:
     plan-evaluation thread and the event loop, hence the lock.
     """
 
-    def __init__(self, plan_id: str, tenant: str, request: dict,
-                 estimate: int):
+    def __init__(self, plan_id: str, tenant: str, request: dict):
         self.id = plan_id
         self.tenant = tenant
         self.request = request
-        self.estimate = estimate
         self.state = "queued"        # queued|running|done|failed
         self.error: Optional[str] = None
         self.table: Optional[str] = None
@@ -337,26 +281,21 @@ class SweepServer:
         jobs = self.config.jobs or (os.cpu_count() or 1)
         self.pool = WorkerPool(max(1, jobs),
                                max_respawns=self.config.max_respawns)
-        shard = None
-        if self.config.shard_count > 1:
-            shard = (self.config.shard_id, self.config.shard_count)
-        self.cache = ResultCache(self.config.cache_dir, shard=shard)
+        self.cache = ResultCache(self.config.cache_dir)
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.port: Optional[int] = None
         self.draining = False
         self.started_at: Optional[float] = None
         self.counters: Dict[str, int] = {key: 0 for key in (
             "plans_submitted", "plans_completed", "plans_failed",
-            "plans_rejected_quota", "cells_requested", "cells_executed",
-            "cells_from_cache", "dedup_inflight_hits", "peer_fills",
-            "peer_reissues", "golden_fresh", "golden_memo_hits",
+            "cells_requested", "cells_executed", "cells_from_cache",
+            "dedup_inflight_hits", "golden_fresh", "golden_memo_hits",
             "batches", "chunks", "chunk_failures", "pool_exhausted",
             "pool_warm_chunks", "kernels_executed",
             "cells_elided", "representative_runs", "elision_fallbacks",
             "plan_cache_hits", "plan_cache_misses", "golden_store_hits")}
         self.lost_digests: List[str] = []
         self._jobs: Dict[str, PlanJob] = {}
-        self._buckets: Dict[str, TokenBucket] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._plan_tasks: Set[asyncio.Task] = set()
@@ -413,9 +352,7 @@ class SweepServer:
                     pass     # non-main thread or unsupported platform
         print(f"repro sweep server listening on "
               f"http://{self.config.host}:{self.port} "
-              f"(pid {os.getpid()}, shard "
-              f"{self.config.shard_id}/{self.config.shard_count})",
-              flush=True)
+              f"(pid {os.getpid()})", flush=True)
         if port_file:
             tmp = port_file + f".tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -490,27 +427,19 @@ class SweepServer:
 
     # -- plan admission -------------------------------------------------
 
-    def _estimate_cells(self, request: dict) -> int:
-        """Validate the request shape and price it in cells (for the
-        token bucket) without building any program."""
+    def _validate_request(self, request: dict) -> None:
+        """Reject a malformed request (400) without building any
+        program."""
         if "experiment" in request:
             name = request["experiment"]
             if name not in EXPERIMENTS:
                 raise _BadRequest(f"unknown experiment {name!r}")
-            kernels = request.get("kernels")
-            self._check_kernels(kernels)
-            if name in EXPERIMENT_FLAT_CELLS:
-                sample = request.get("sample")
-                if sample is not None:
-                    if not isinstance(sample, int) or sample < 1:
-                        raise _BadRequest(
-                            "'sample' must be a positive integer")
-                    return sample * EXPERIMENT_SAMPLE_POINTS.get(
-                        name, len(STANDARD_POINTS))
-                return EXPERIMENT_FLAT_CELLS[name]
-            per = EXPERIMENT_CELLS_PER_KERNEL.get(name, 8)
-            count = len(kernels) if kernels else len(KERNELS)
-            return per * max(1, count)
+            self._check_kernels(request.get("kernels"))
+            sample = request.get("sample")
+            if sample is not None and (not isinstance(sample, int)
+                                       or sample < 1):
+                raise _BadRequest("'sample' must be a positive integer")
+            return
         specs = request.get("cells")
         if specs is not None:
             if not isinstance(specs, list) or not specs:
@@ -523,7 +452,7 @@ class SweepServer:
                 point = spec.get("point")
                 if point is not None and point not in STANDARD_POINTS:
                     raise _BadRequest(f"unknown point {point!r}")
-            return len(specs)
+            return
         kernels = request.get("kernels")
         if not kernels:
             raise _BadRequest("give 'experiment', 'kernels', or 'cells'")
@@ -534,7 +463,6 @@ class SweepServer:
         for point in points:
             if point is not None and point not in STANDARD_POINTS:
                 raise _BadRequest(f"unknown point {point!r}")
-        return len(kernels) * len(points)
 
     @staticmethod
     def _check_kernels(kernels) -> None:
@@ -553,24 +481,16 @@ class SweepServer:
                                   "new plans"}
         tenant = (headers.get("x-tenant") or request.get("tenant")
                   or "default")
-        estimate = self._estimate_cells(request)
-        bucket = self._buckets.setdefault(
-            str(tenant), TokenBucket(self.config.quota_capacity,
-                                     self.config.quota_refill))
-        if not bucket.try_take(estimate):
-            self.counters["plans_rejected_quota"] += 1
-            return 429, {"error": f"quota exceeded for tenant "
-                                  f"{tenant!r} ({estimate} cells)",
-                         "tenant": tenant, "cells_estimate": estimate}
+        self._validate_request(request)
         job = PlanJob(f"plan-{next(self._plan_counter)}", str(tenant),
-                      request, estimate)
+                      request)
         self._jobs[job.id] = job
         self.counters["plans_submitted"] += 1
         task = self.loop.create_task(self._drive_plan(job))
         self._plan_tasks.add(task)
         task.add_done_callback(self._plan_tasks.discard)
         return 202, {"id": job.id, "tenant": job.tenant,
-                     "state": job.state, "cells_estimate": estimate}
+                     "state": job.state}
 
     # -- plan execution -------------------------------------------------
 
@@ -668,10 +588,7 @@ class SweepServer:
                 task = _CellTask(job, index, cell, digests[index], key,
                                  future)
                 job.cell_state(index, "queued")
-                if self.cache.owns_key(key):
-                    await self._queue.put(task)
-                else:
-                    self._spawn_work(self._peer_watch(task))
+                await self._queue.put(task)
             waiters.append((index, future))
         records = []
         for index, future in waiters:
@@ -763,24 +680,6 @@ class SweepServer:
             if not task.future.done():
                 task.future.set_result(record)
 
-    async def _peer_watch(self, task: _CellTask) -> None:
-        """A cell another shard owns: poll the shared cache for it, and
-        re-issue locally if the owner never delivers (Li et al.-style
-        speculative re-issue — dedup and content addressing make the
-        duplicate execution harmless)."""
-        deadline = self.loop.time() + self.config.peer_wait
-        while self.loop.time() < deadline and not self.draining:
-            record = await self.loop.run_in_executor(
-                None, self.cache.peek, task.key)
-            if record is not None:
-                self.counters["peer_fills"] += 1
-                if not task.future.done():
-                    task.future.set_result(record)
-                return
-            await asyncio.sleep(self.config.peer_poll)
-        self.counters["peer_reissues"] += 1
-        await self._queue.put(task)
-
     # -- metrics --------------------------------------------------------
 
     def metrics_payload(self) -> dict:
@@ -791,14 +690,10 @@ class SweepServer:
                 "uptime_seconds": round(time.time() - self.started_at, 3)
                 if self.started_at else 0.0,
                 "draining": self.draining,
-                "shard": {"id": self.config.shard_id,
-                          "count": self.config.shard_count},
                 "plans": {
                     "submitted": self.counters["plans_submitted"],
                     "completed": self.counters["plans_completed"],
                     "failed": self.counters["plans_failed"],
-                    "rejected_quota":
-                        self.counters["plans_rejected_quota"],
                     "active": len(self._plan_tasks),
                 },
                 "cells": {
@@ -808,8 +703,6 @@ class SweepServer:
                     "elided": self.counters["cells_elided"],
                     "dedup_inflight_hits":
                         self.counters["dedup_inflight_hits"],
-                    "peer_fills": self.counters["peer_fills"],
-                    "peer_reissues": self.counters["peer_reissues"],
                 },
                 "elision": {
                     "elided_cells": self.counters["cells_elided"],
@@ -845,13 +738,6 @@ class SweepServer:
                     "spinups": pool.spinups,
                     "broken_recoveries": pool.broken_recoveries,
                     "tasks_run": pool.tasks_run,
-                },
-                "quota": {
-                    "capacity": self.config.quota_capacity,
-                    "refill_per_sec": self.config.quota_refill,
-                    "tenants": {name: round(bucket.level, 1)
-                                for name, bucket
-                                in sorted(self._buckets.items())},
                 },
             },
             "sessions": merge_session_metrics(self.cache.root),

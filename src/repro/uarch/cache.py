@@ -74,11 +74,6 @@ class Cache:
             cache_set.popitem(last=False)
         return self.hit_latency + below
 
-    def contains(self, addr: int) -> bool:
-        line_addr = addr // self.line
-        cache_set = self._sets.get(line_addr % self.n_sets)
-        return cache_set is not None and line_addr in cache_set
-
     def flush(self) -> None:
         self._sets.clear()
         self.stats = CacheStats()

@@ -166,13 +166,14 @@ def machine_snapshot(processor) -> Dict[str, Any]:
                 "opcode": node.inst.opcode.value,
                 "exec_count": node.exec_count,
                 "state": node.state.value,
-                "slots": {s.name: b.effective.status.value
-                          for s, b in node.buffers.items()},
+                "slots": {slot.name: buffer.status.value
+                          for slot, buffer in zip(node._sig_slots,
+                                                  node._buffer_list)},
             })
         frames.append({
             "repr": repr(frame),
             "branch_label": frame.branch_label,
-            "branch_final": frame.branch_buffer.is_final(),
+            "branch_final": frame.branch_buffer.final,
             "mem_final": processor.lsq.frame_mem_final(frame.uid),
             "nodes": nodes,
         })

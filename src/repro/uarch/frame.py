@@ -185,17 +185,6 @@ class Frame:
         """DSRE commit gate (the commit wave must have arrived)."""
         return self.writes_final() and self.branch_final()
 
-    def outputs_produced(self) -> bool:
-        """Flush-recovery commit gate: completion only.
-
-        Under flush recovery no produced value can ever change (a detected
-        mis-speculation squashes the frame instead), so a block may commit
-        as soon as every output exists.
-        """
-        if self.branch_label is None:
-            return False
-        return all(b.status is STATUS_VALUE for b in self.write_buffers)
-
     def final_reg_writes(self) -> Dict[int, int]:
         return {self.block.writes[wi].reg: buf.value
                 for wi, buf in enumerate(self.write_buffers)}

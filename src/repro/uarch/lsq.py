@@ -774,16 +774,6 @@ class LoadStoreQueue:
         self._track_load(entry)
         return []
 
-    def load_addr_final(self, frame_uid: int, lsid: int) -> List[LsqAction]:
-        """The load's address operands are final (commit wave reached it)."""
-        entry = self.entry(frame_uid, lsid)
-        entry.final = True
-        self._track_load(entry)
-        if entry.deferred:
-            # A final address cannot be deferred forever; re-poll now.
-            return self._poll_deferred_one(entry)
-        return self._maybe_confirm(entry)
-
     def _poll_deferred_one(self, entry: MemEntry) -> List[LsqAction]:
         """Re-poll a deferred load: issue it unless it must still wait."""
         if self._must_wait(entry):
@@ -939,7 +929,3 @@ class LoadStoreQueue:
                              final=True, is_redelivery=True)]
 
     # ------------------------------------------------------------------
-
-    @property
-    def entry_count(self) -> int:
-        return sum(len(v) for v in self._frames.values())

@@ -136,7 +136,7 @@ class Processor:
         self.dcache = build_hierarchy(self.config)
         self.icache = BlockCache(self.config.icache_entries,
                                  self.config.icache_miss_penalty)
-        self.network = OperandNetwork(self.config)
+        self.network = OperandNetwork()
         self.policy = build_policy(self.config, golden)
         self.protocol = build_recovery(self.config)
         self.protocol.bind(self)
@@ -150,7 +150,7 @@ class Processor:
                                   certificate=self.certificate)
         self.predictor = build_predictor(self.config, golden)
         self.predictor.certificate = self.certificate
-        self.tiles = [ExecTile(i, self.config.tile_coord(i),
+        self.tiles = [ExecTile(self.config.tile_coord(i),
                                self.config.issue_width_per_tile)
                       for i in range(self.config.n_tiles)]
         #: Tiles holding ready or executing nodes — the only ones the main
@@ -305,20 +305,20 @@ class Processor:
             # itself only runs when something is due.
             network.now = cycle
 
-            # --- Delivery sweep.  ``OperandNetwork.deliver_due`` inline,
-            # dispatching each entry as it pops instead of building a list
-            # first.  That is equivalent: handlers only ever *send*
-            # (arrivals land at ``now + 1`` or later, so they cannot join
-            # this sweep), handler order equals delivery order either way,
-            # and contention slips requeue at ``now + 1`` so pushing them
-            # mid-sweep cannot re-pop them.  Entries are flat tuples
-            # ``(code, dest, ...)``; see repro.uarch.specialize.
+            # --- Delivery sweep: pop every entry due by now, at most
+            # ``port_bandwidth`` per destination per cycle; the rest slip
+            # to ``now + 1`` keeping their send order, so pushing them
+            # mid-sweep cannot re-pop them.  Each entry is dispatched as it
+            # pops: handlers only ever *send*, and arrivals land at
+            # ``now + 1`` or later, so nothing they send joins this sweep.
+            # Entries are flat tuples ``(code, dest, ...)``; see
+            # repro.uarch.specialize.
             if heap and heap[0][0] <= cycle:
                 if cycle != network._port_cycle:
                     port_use.clear()
                     network._port_cycle = cycle
                 while heap and heap[0][0] <= cycle:
-                    arrive, seq, msg = pop(heap)
+                    _, seq, msg = pop(heap)
                     dest = msg[1]
                     used = port_use.get(dest, 0)
                     if used >= bandwidth:
@@ -327,7 +327,6 @@ class Processor:
                         continue
                     port_use[dest] = used + 1
                     netstats.delivered += 1
-                    netstats.total_latency += cycle - (arrive - 1)
                     code = msg[0]
                     if hooks is not None:
                         hooks.on_deliver(cycle, FLAT_KIND_NAMES[code])
@@ -373,10 +372,12 @@ class Processor:
                     else:                         # register forward
                         self._deliver_reg_fwd(msg)
 
-            # --- Tile walk.  ``ExecTile.pop_completed`` / ``issue_ready``
-            # inline (same pop order, same bookkeeping).  Snapshot, sorted
-            # to keep the tile order: handlers below may activate further
-            # tiles mid-walk, and those wait for the next cycle.
+            # --- Tile walk: per active tile, complete the FU passes due by
+            # now, then issue up to ``issue_width`` ready nodes, oldest
+            # frame first, skipping stale-life and dead-frame entries.
+            # Snapshot, sorted to keep the tile order: handlers below may
+            # activate further tiles mid-walk, and those wait for the
+            # next cycle.
             if active_tiles and self._tiles_due <= cycle:
                 drained = None
                 for index in sorted(active_tiles):
@@ -441,8 +442,9 @@ class Processor:
                                 del queued[node]
                             if node.frame_uid not in frames_by_uid:
                                 continue
-                            # Inline ``can_issue`` + ``_begin_issued``
-                            # (one signature for the check and the issue).
+                            # Fire rule: idle, every slot resolved, and a
+                            # first issue or changed inputs (one signature
+                            # for the check and the issue).
                             if node.state is not NODE_IDLE:
                                 continue
                             for b in node._buffer_list:
@@ -679,7 +681,7 @@ class Processor:
     # ==================================================================
 
     def _enqueue(self, frame: Frame, node: InstructionNode) -> None:
-        # Inline ``ExecTile.enqueue`` (life-keyed dedup + heap push).
+        # Life-keyed dedup: one pending ready entry per node and life.
         tile_index = self._inst_tile[node.index]
         tile = self.tiles[tile_index]
         queued = tile._queued
@@ -703,7 +705,7 @@ class Processor:
         under commit-wave protocols; completion-gated machines have no use
         for it.
         """
-        # Inline ``node.can_issue`` (state + resolution + signature): this
+        # The fire rule (state + resolution + signature), inline: this
         # runs once per token-buffer change, the highest-frequency event.
         if node.state is NODE_IDLE:
             for b in node._buffer_list:

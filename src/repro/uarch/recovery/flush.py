@@ -30,9 +30,9 @@ class FlushRecovery(RecoveryProtocol):
     # handle_violation: inherited squash-and-refetch.
 
     def frame_outputs_ready(self, frame) -> bool:
-        # Completion screen: every output slot has a VALUE (this is
-        # exactly ``Frame.outputs_produced``, inlined on raw buffer state
-        # because it polls on every cycle the commit signal is raised).
+        # Completion screen: every output slot has a VALUE, read from raw
+        # buffer state because it polls on every cycle the commit signal
+        # is raised.
         if frame.branch_buffer.status is not STATUS_VALUE:
             return False
         for buf in frame.write_buffers:

@@ -59,7 +59,7 @@ from ..isa.instruction import TargetKind
 #: recompiling an evicted point is microseconds.
 PLAN_CACHE_CAP = 8
 
-#: Delivery-hook kind name (``MsgKind.name``) of each flat entry code.
+#: Delivery-hook kind name of each flat entry code.
 FLAT_KIND_NAMES = ("TOKEN", "TOKEN", "TOKEN", "LOAD_REQ", "STORE_UPD",
                    "LOAD_RESP", "REG_FWD")
 

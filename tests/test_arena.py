@@ -11,6 +11,8 @@ conformance tests), plus direct unit tests of the reset/life-guard
 machinery.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.core.node import NodeState
 from repro.harness.parallel import arch_state_digest
 from repro.harness.runner import golden_of
 from repro.uarch.config import default_config
+from repro.uarch.events import EventTrace
 from repro.uarch.frame import Frame
 from repro.uarch.processor import Processor
 from repro.uarch.recovery import protocol_names
@@ -141,8 +144,8 @@ class TestFrameReset:
         assert all(f.wave == 0 and f.value is None and not f.final
                    for f in frame.read_forwards)
         assert all(f is None for f in frame.write_forwarded)
-        assert all(not b.is_final() for b in frame.write_buffers)
-        assert not frame.branch_buffer.is_final()
+        assert all(not b.final for b in frame.write_buffers)
+        assert not frame.branch_buffer.final
         assert frame.branch_label is None
         for n in frame.nodes:
             assert n.frame_uid == 901
@@ -151,31 +154,47 @@ class TestFrameReset:
             assert n.out_wave == 0
         assert node.life == life_before + 1
 
+    @staticmethod
+    def _remapped():
+        """A processor whose first frame was mapped, squashed and mapped
+        again before the first cycle: the second map recycles the first
+        frame, so each constant node has a stale ready entry (its
+        previous life) beside its fresh one."""
+        instance = KERNELS["vecsum"].build_test()
+        processor = Processor(instance.program,
+                              default_config(recovery="dsre"),
+                              instance.initial_regs,
+                              golden=golden_of(instance))
+        entry = instance.program.entry
+        processor._map_frame(entry)
+        first = processor.frames[0]
+        processor.squash_from(0, entry, cause="branch")
+        processor._map_frame(entry)
+        assert processor.frames == [first] and first.uid == 1
+        return instance, processor, first
+
     def test_stale_tile_entries_skipped_by_life(self):
-        from repro.uarch.tile import ExecTile
-        frame, node = self._dirty_frame()
-        tile = ExecTile(index=0, coord=(0, 0), issue_width=4)
-        tile.enqueue(frame.seq, node)
-        assert tile.has_ready
-        # Recycling bumps the node's life: the queued entry is now stale
-        # and must be skipped, not issued.
-        frame.reset_for_reuse(uid=902, seq=902)
-        issued = tile.issue_ready(now=0, latency_fn=lambda n: 1,
-                                  alive_fn=lambda uid: True)
-        assert issued == []
-        assert not tile.has_ready
+        instance, processor, frame = self._remapped()
+        trace = EventTrace()
+        processor.attach_hooks(trace)
+        processor.run()
+        assert not instance.check(processor.arch)
+        # Each constant node of the recycled frame issued once, from its
+        # fresh entry: a stale entry issuing it would tag its FU pass
+        # with the old life, and the completion would never land.
+        issued = Counter(e.data["node"] for e in trace.events
+                         if e.kind == "issue" and e.data["frame_uid"] == 1)
+        constants = [n.index for n in frame.nodes if not n._buffer_list]
+        assert constants and all(issued[i] == 1 for i in constants)
 
     def test_reenqueue_after_recycle_not_deduped_away(self):
-        from repro.uarch.tile import ExecTile
-        frame, node = self._dirty_frame()
-        tile = ExecTile(index=0, coord=(0, 0), issue_width=4)
-        tile.enqueue(frame.seq, node)
-        frame.reset_for_reuse(uid=903, seq=903)
-        # The new life must get its own entry even though the stale one
-        # is still sitting in the heap.
-        tile.enqueue(903, node)
-        assert len(tile._ready) == 2
-        assert tile._queued[node] == node.life
+        _, processor, frame = self._remapped()
+        node = next(n for n in frame.nodes if not n._buffer_list)
+        tile = processor.tiles[processor._inst_tile[node.index]]
+        # The new life got its own entry even though the stale one is
+        # still sitting in the heap.
+        assert [e[4] for e in tile._ready if e[3] is node] == [0, 1]
+        assert tile._queued[node] == node.life == 1
 
 
 class TestSharedArenaAcrossCells:

@@ -58,12 +58,6 @@ class TestCache:
         with pytest.raises(ValueError):
             Cache("bad", size=100, assoc=2, line=16, hit_latency=1)
 
-    def test_contains(self):
-        cache = small_cache()
-        assert not cache.contains(0x100)
-        cache.access(0x100)
-        assert cache.contains(0x100)
-
     def test_hit_rate(self):
         cache = small_cache()
         cache.access(0)

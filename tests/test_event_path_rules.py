@@ -10,8 +10,8 @@ notice the rule being broken; this test holds it instead (see
 docs/PERFORMANCE.md §12).
 
 A token buffer keeps its slot state in its own fields, and the
-per-event code reads those: no function there reads a buffer's
-``.effective`` snapshot or builds an ``Effective``, and
+per-event code reads those: no function there reads a slot snapshot
+(``.effective``) or builds one (``Effective``), and
 ``MemEntry.order_key`` is stored once rather than rebuilt per read
 (docs/PERFORMANCE.md §13).
 
@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buffers import Effective, SoleBuffer, TokenBuffer
+from repro.core.buffers import SoleBuffer, TokenBuffer
 from repro.core.node import NodeState, OutcomeKind
 from repro.core.tokens import SlotStatus
 from repro.isa.instruction import Slot, TargetKind
@@ -112,10 +112,6 @@ def event_path_violations(source: str):
 _SNAPSHOT_ATTRS = frozenset({"effective", "_effective"})
 _SNAPSHOT_NAMES = frozenset({"Effective", "EMPTY_EFFECTIVE"})
 
-#: The one function allowed to build a snapshot: the ``effective``
-#: property that copies a buffer's fields for cold readers.
-SNAPSHOT_ALLOWED = {"repro.core.buffers": frozenset({"effective"})}
-
 
 def snapshot_violations(source: str, exempt=frozenset()):
     """Sorted ``(line, what)`` for every ``.effective``/``._effective``
@@ -181,8 +177,7 @@ def test_no_frozen_dataclass_builds_on_the_event_path(module):
 @pytest.mark.parametrize("module", EVENT_MODULES)
 def test_no_slot_snapshots_on_the_event_path(module):
     source = inspect.getsource(importlib.import_module(module))
-    violations = snapshot_violations(
-        source, SNAPSHOT_ALLOWED.get(module, frozenset()))
+    violations = snapshot_violations(source)
     assert not violations, (
         f"{module}: per-event code must read a buffer's own fields "
         f"(status, value, producer, wave, final), not a snapshot; found "
@@ -329,19 +324,12 @@ class TestChecker:
         assert snapshot_violations(source) == [(5, "Effective")]
 
 
-def test_effective_is_a_plain_slots_class():
+def test_buffers_are_plain_slots_classes():
     # A frozen dataclass's __init__ pays one object.__setattr__ per field;
-    # the on-demand snapshot is a plain __slots__ class.
-    assert not dataclasses.is_dataclass(Effective)
-    snapshot = Effective(SlotStatus.VALUE, 7, ("inst", 2), 3)
-    assert not hasattr(snapshot, "__dict__")
-    assert (snapshot.status, snapshot.value, snapshot.producer,
-            snapshot.wave) == (SlotStatus.VALUE, 7, ("inst", 2), 3)
-    assert snapshot.resolved
+    # buffers are plain __slots__ classes whose fields are the slot state.
     for buffer in (SoleBuffer(("inst", 2)),
-                   TokenBuffer([("inst", 2), ("inst", 3)])):
-        empty = buffer.effective
-        assert not empty.resolved
-        assert (empty.status, empty.value, empty.producer,
-                empty.wave) == (SlotStatus.EMPTY, None, None, -1)
+                   TokenBuffer({("inst", 2): 0, ("inst", 3): 1})):
+        assert not dataclasses.is_dataclass(buffer)
         assert not hasattr(buffer, "__dict__")
+        assert (buffer.status, buffer.value, buffer.producer, buffer.wave,
+                buffer.final) == (SlotStatus.EMPTY, None, None, -1, False)

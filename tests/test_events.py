@@ -9,8 +9,8 @@ from repro.harness.runner import golden_of
 from repro.uarch.config import default_config
 from repro.uarch.events import (EVENT_KINDS, EventHooks, EventTrace,
                                 ProcEvent)
-from repro.uarch.network import MsgKind
 from repro.uarch.processor import Processor
+from repro.uarch.specialize import FLAT_KIND_NAMES
 from repro.workloads.registry import KERNELS
 
 
@@ -50,7 +50,7 @@ class TestHookEmission:
         assert trace.counts()["issue"] == result.stats.executions
 
     def test_delivery_kinds_by_name(self):
-        # Every flat entry code reaches the hook under its MsgKind name;
+        # Every flat entry code reaches the hook under its kind name;
         # the per-kind split on histogram @ dsre is pinned.
         trace = EventTrace()
         _, result = _run(hooks=trace, recovery="dsre")
@@ -58,7 +58,7 @@ class TestHookEmission:
                         if e.kind == "deliver")
         assert kinds == {"TOKEN": 631, "LOAD_REQ": 59, "STORE_UPD": 55,
                          "LOAD_RESP": 81, "REG_FWD": 19}
-        assert set(kinds) == {kind.name for kind in MsgKind}
+        assert set(kinds) == set(FLAT_KIND_NAMES)
         assert sum(kinds.values()) == result.network_stats.delivered == 845
         assert result.stats.cycles == 641
 

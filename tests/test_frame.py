@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.tokens import BRANCH_DEST, Token, write_dest
+from repro.core.node import NodeState
 from repro.isa import ProgramBuilder
 from repro.uarch.config import default_config
 from repro.uarch.frame import Frame
+from repro.uarch.recovery import build_recovery
 
 
 def build_block():
@@ -41,50 +42,47 @@ class TestConstruction:
         assert frame.node_of_lsid(0).index == store_idx
 
     def test_branch_buffer_producers(self, frame):
-        assert len(frame.branch_buffer) == 2
+        assert frame.branch_buffer._order == {
+            ("inst", i): n for n, i in enumerate(frame.block.branch_indices)}
+
+
+def _write(frame, wi, value, final=False):
+    producer = frame.block.slot_producers[("write", wi, None)][0]
+    return frame.write_buffers[wi].deposit4(producer, 1, value, final)
+
+
+def _branch(frame, label, final=False, which=0):
+    producer = ("inst", frame.block.branch_indices[which])
+    return frame.branch_buffer.deposit4(producer, 1, label, final)
 
 
 class TestOutputs:
-    def _branch_token(self, frame, label, final=False):
-        idx = frame.block.branch_indices[0]
-        return Token(7, BRANCH_DEST, ("inst", idx), 1, label, final)
-
     def test_branch_label_none_initially(self, frame):
         assert frame.branch_label is None
         assert not frame.branch_final()
 
     def test_branch_resolution(self, frame):
-        frame.branch_buffer.deposit(self._branch_token(frame, "m"))
+        _branch(frame, "m")
         assert frame.branch_label == "m"
         assert not frame.branch_final()      # other branch not final yet
 
     def test_branch_finality(self, frame):
-        i0, i1 = frame.block.branch_indices
-        frame.branch_buffer.deposit(
-            Token(7, BRANCH_DEST, ("inst", i0), 1, "m", True))
-        frame.branch_buffer.deposit(
-            Token(7, BRANCH_DEST, ("inst", i1), 1, None, True))
+        _branch(frame, "m", final=True)
+        _branch(frame, None, final=True, which=1)
         assert frame.branch_final()
 
-    def test_outputs_produced(self, frame):
-        assert not frame.outputs_produced()
-        producers0 = frame.write_buffers[0].producers()
-        producers1 = frame.write_buffers[1].producers()
-        frame.write_buffers[0].deposit(
-            Token(7, write_dest(0), producers0[0], 1, 5))
-        frame.write_buffers[1].deposit(
-            Token(7, write_dest(1), producers1[0], 1, 1))
-        assert not frame.outputs_produced()   # branch still missing
-        frame.branch_buffer.deposit(self._branch_token(frame, "m"))
-        assert frame.outputs_produced()
+    def test_flush_commit_gate_is_completion(self, frame):
+        gate = build_recovery(default_config(recovery="flush"))
+        assert not gate.frame_outputs_ready(frame)
+        _write(frame, 0, 5)
+        _write(frame, 1, 1)
+        assert not gate.frame_outputs_ready(frame)   # branch still missing
+        _branch(frame, "m")
+        assert gate.frame_outputs_ready(frame)       # nothing final yet
 
     def test_final_reg_writes(self, frame):
-        producers0 = frame.write_buffers[0].producers()
-        frame.write_buffers[0].deposit(
-            Token(7, write_dest(0), producers0[0], 1, 42, True))
-        producers1 = frame.write_buffers[1].producers()
-        frame.write_buffers[1].deposit(
-            Token(7, write_dest(1), producers1[0], 1, 1, True))
+        _write(frame, 0, 42, final=True)
+        _write(frame, 1, 1, final=True)
         assert frame.final_reg_writes() == {1: 42, 2: 1}
         assert frame.writes_final()
 
@@ -96,6 +94,6 @@ class TestAccounting:
     def test_useful_instructions_counts_outcomes(self, frame):
         assert frame.useful_instructions() == 0
         node = frame.nodes[0]     # the MOVI
-        node.begin_execution()
+        node.state = NodeState.EXECUTING   # as the tile walk issues it
         node.complete_execution()
         assert frame.useful_instructions() == 1

@@ -44,7 +44,7 @@ class TestRegistration:
     def test_entries_created(self):
         lsq, _ = make_lsq()
         lsq.register_frame(0, 0, make_block("b", ["load", "store"]))
-        assert lsq.entry_count == 2
+        assert sorted(lsq._frames[0]) == [0, 1]
         assert lsq.entry(0, 0).kind is MemKind.LOAD
         assert lsq.entry(0, 1).kind is MemKind.STORE
 
@@ -70,7 +70,7 @@ class TestRegistration:
         lsq, _ = make_lsq()
         lsq.register_frame(0, 0, make_block("b", ["load"]))
         lsq.drop_frame(0)
-        assert lsq.entry_count == 0
+        assert not lsq._frames
 
 
 class TestForwarding:
@@ -327,7 +327,7 @@ class TestCommit:
         lsq.store_update(0, 0, 0x100, 1, wave=1, final=True, null=False)
         stores = lsq.commit_frame(0)
         assert stores == [(0x100, 1, 8), (0x108, 2, 8)]
-        assert lsq.entry_count == 0
+        assert not lsq._frames
 
     def test_commit_excludes_null_stores(self):
         lsq, _ = make_lsq(recovery="dsre")

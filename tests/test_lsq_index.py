@@ -54,7 +54,7 @@ def _serialize(action):
 #: ``epoch_mem_final`` is the epoch seam's commit-gate query (polled by
 #: epoch-granular protocols): the indexed emptiness check must return the
 #: same booleans, in the same call sequence, as the naive full scan.
-_RECORDED = ("load_request", "load_null", "load_addr_final", "store_update",
+_RECORDED = ("load_request", "load_null", "store_update",
              "register_frame", "drop_frame", "commit_frame", "poison",
              "epoch_mem_final")
 

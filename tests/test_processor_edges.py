@@ -91,9 +91,17 @@ class TestResourceKnobs:
         assert arch.get_reg(2) == sum(range(8))
 
     def test_port_bandwidth_one(self, counter_program):
+        # One delivery per destination per cycle: the loop's operand
+        # bursts slip and the run stretches; at the default width of
+        # four nothing slips.
         result, arch = run_timing(counter_program, port_bandwidth=1)
         assert arch.get_reg(2) == sum(range(8))
-        assert result.network_stats.contention_slips >= 0
+        net = result.network_stats
+        assert (result.stats.cycles, net.sent, net.delivered,
+                net.contention_slips) == (95, 105, 103, 47)
+        wide, _ = run_timing(counter_program)
+        assert (wide.stats.cycles, wide.network_stats.contention_slips) \
+            == (81, 0)
 
     def test_commit_store_bandwidth(self):
         def body(b):

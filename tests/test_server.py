@@ -122,6 +122,11 @@ class TestPlanExecution:
         assert status["metrics"]["executed"] == 0
         assert status["cells"].get("cached") == 2
 
+    def test_tenant_labels_the_plan(self, harness):
+        client = SweepClient(port=harness.server.port, tenant="alice")
+        plan_id = client.submit(GRID)
+        assert client.wait(plan_id, timeout=120)["tenant"] == "alice"
+
     def test_status_reports_cells_and_digest(self, harness):
         plan_id = harness.client.submit(GRID)
         status = harness.client.wait(plan_id, timeout=120)
@@ -134,7 +139,7 @@ class TestPlanExecution:
         assert "queue @ dsre" in table
 
 
-class TestDedupAndQuota:
+class TestDedup:
     def test_identical_plans_share_execution(self, tmp_path):
         # A wider batch window so both submissions land in one batch.
         h = ServerHarness(tmp_path, batch_window=0.1)
@@ -151,60 +156,6 @@ class TestDedupAndQuota:
                     + status_2["metrics"]["inflight_dedup_hits"])
             assert hits == 2
             assert h.client.table(first) == h.client.table(second)
-        finally:
-            h.stop()
-
-    def test_quota_exhaustion_returns_429(self, tmp_path):
-        h = ServerHarness(tmp_path, quota_capacity=3,
-                          quota_refill=0.0001)
-        try:
-            first = h.client.submit(GRID)           # 2 of 3 tokens
-            with pytest.raises(ServerError) as info:
-                h.client.submit(GRID)               # needs 2, has 1
-            assert info.value.status == 429
-            plans = h.client.metrics()["server"]["plans"]
-            assert plans["rejected_quota"] == 1
-            # The admitted plan is unaffected by the rejection.
-            assert h.client.wait(first, timeout=120)["state"] == "done"
-        finally:
-            h.stop()
-
-    def test_quota_is_per_tenant(self, tmp_path):
-        h = ServerHarness(tmp_path, quota_capacity=3,
-                          quota_refill=0.0001)
-        try:
-            h.client.submit(GRID)
-            other = SweepClient(port=h.server.port, tenant="other")
-            other.submit(GRID)                      # own fresh bucket
-            buckets = h.client.metrics()["server"]["quota"]["tenants"]
-            assert set(buckets) == {"default", "other"}
-        finally:
-            h.stop()
-
-
-class TestSharding:
-    def test_unowned_cells_reissued_after_peer_wait(self, tmp_path):
-        """A sharded server executes foreign keys itself once the owner
-        fails to deliver within the peer window — results stay
-        byte-identical, only who paid changes."""
-        h = ServerHarness(tmp_path, shard_id=0, shard_count=2,
-                          peer_wait=0.2, peer_poll=0.02)
-        try:
-            from repro.harness.cache import cache_key
-            cells = list(expand_grid(GRID))
-            foreign = sum(
-                not h.server.cache.owns_key(
-                    cache_key(c.instance.identity_digest(), c.config()))
-                for c in cells)
-            served = h.client.run(GRID, timeout=120)
-            expected = render_grid_table(
-                ParallelRunner(jobs=1).run_plan(expand_grid(GRID)))
-            assert served == expected
-            metrics = h.client.metrics()["server"]["cells"]
-            # No peer is running, so every foreign cell came back via
-            # the speculative local re-issue; owned cells never did.
-            assert metrics["peer_reissues"] == foreign
-            assert metrics["executed"] == len(cells)
         finally:
             h.stop()
 
