@@ -197,7 +197,7 @@ def test_sweep_wall_clock():
     assert metrics is not None
     # Nothing silently cached: every cell was either simulated or served
     # by cross-point elision from a clean same-class representative.
-    assert metrics.executed + metrics.elided_cells == len(plan)
+    assert metrics.cells_executed + metrics.cells_elided == len(plan)
     assert metrics.golden_runs_per_kernel <= 1.0, (
         f"redundant golden derivations: {metrics.golden_fresh_runs} fresh "
         f"golden runs for {metrics.kernels_executed} kernels — the "

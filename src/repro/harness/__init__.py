@@ -11,10 +11,11 @@ from .experiments import (EXPERIMENTS, corpus_plan, e1_main, e2_window,
                           e8_storeset_ablation, e9_corpus_ordering,
                           e10_squash_work, table_t1, table_t2)
 from .journal import PlanJournal, journals_under, plan_digest
+from .metrics import (SweepMetrics, merge_session_metrics, session_shard_path,
+                      write_session_shard)
 from .parallel import (CellResult, ParallelRunner, arch_state_digest,
-                       execute_cell, merge_session_metrics,
-                       session_shard_path, write_session_shard)
-from .pool import (PoolExhaustedError, SweepMetrics, WorkerPool, golden_for,
+                       execute_cell)
+from .pool import (PoolExhaustedError, WorkerPool, golden_for,
                    reset_golden_memo, run_cell_chunk)
 from .runner import (POINT_ORDER, STANDARD_POINTS, golden_of, run_point,
                      run_points)

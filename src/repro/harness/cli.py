@@ -33,7 +33,8 @@ from typing import List, Optional
 
 from .cache import ResultCache
 from .experiments import EXPERIMENTS, table_t1
-from .parallel import ParallelRunner, merge_session_metrics
+from .metrics import merge_session_metrics, session_lines
+from .parallel import ParallelRunner
 
 
 def _run_one(name: str, fast: bool, runner: ParallelRunner,
@@ -49,53 +50,6 @@ def _run_one(name: str, fast: bool, runner: ParallelRunner,
     if sample is not None and "sample" in params:
         kwargs["sample"] = sample
     return func(**kwargs).render()
-
-
-def _print_session_metrics(root: str) -> None:
-    """Show session sweep-redundancy counters, merged across every
-    process that ever wrote a ``session.<pid>.json`` shard here."""
-    m = merge_session_metrics(root)
-    if m is None:
-        return
-    shards = m.get("shards", 1)
-    title = "sessions" if shards > 1 else "last session"
-    print(f"{title} ({shards} shard{'s' if shards > 1 else ''})")
-    print(f"  plans / cells   {m.get('plans_run', 0)} plans, "
-          f"{m.get('cells_executed', 0)} simulated, "
-          f"{m.get('cells_from_cache', 0)} from cache "
-          f"in {m.get('wall_seconds', 0.0):.2f}s")
-    print(f"  golden runs     {m.get('golden_fresh_runs', 0)} fresh, "
-          f"{m.get('golden_memo_hits', 0)} memo hits "
-          f"({m.get('golden_runs_per_kernel', 0.0):.2f} per kernel)")
-    print(f"  worker pool     {m.get('pool_spinups', 0)} spinups, "
-          f"{m.get('pool_reuses', 0)} reuses")
-    print(f"  specialization  {m.get('specialize_hits', 0)} hits, "
-          f"{m.get('specialize_misses', 0)} misses")
-    elided = m.get("cells_elided", 0)
-    if elided or m.get("representative_runs", 0) \
-            or m.get("elision_fallbacks", 0):
-        print(f"  elision         {elided} cells forwarded from "
-              f"{m.get('representative_runs', 0)} clean representatives, "
-              f"{m.get('elision_fallbacks', 0)} dirty fallbacks")
-    store_hits = m.get("plan_cache_hits", 0)
-    store_misses = m.get("plan_cache_misses", 0)
-    golden_disk = m.get("golden_store_hits", 0)
-    if store_hits or store_misses or golden_disk:
-        print(f"  plan store      {store_hits} plan hits, "
-              f"{store_misses} plan misses, "
-              f"{golden_disk} golden-store hits")
-    issued = m.get("fu_work_issued", 0)
-    if issued:
-        committed = m.get("fu_work_committed", 0)
-        print(f"  fu work         {issued} issued "
-              f"({committed} committed, "
-              f"{m.get('squashed_executions', 0)} squashed), "
-              f"{m.get('wave_operand_sends', 0)} wave-2+ operand sends")
-    rollbacks = m.get("epoch_rollbacks", 0)
-    if rollbacks:
-        depth = m.get("epoch_rollback_depth", 0)
-        print(f"  epoch rollback  {rollbacks} rollbacks, "
-              f"{depth / rollbacks:.2f} frames per rollback")
 
 
 def _cache_command(args: List[str], root: str) -> int:
@@ -119,7 +73,11 @@ def _cache_command(args: List[str], root: str) -> int:
             if info.get("entries"):
                 print(f"{label:16s}{info['entries']} entries, "
                       f"{info['bytes'] / 1024.0:.1f} KiB")
-        _print_session_metrics(root)
+        # The session counters, merged across every process that ever
+        # wrote a ``session.<pid>.json`` shard here.
+        merged = merge_session_metrics(root)
+        if merged is not None:
+            print("\n".join(session_lines(merged)))
         return 0
     if args == ["clear"]:
         removed = cache.clear()

@@ -165,19 +165,19 @@ def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
     """Run ``items`` with cross-point elision; yields ``(index, record)``.
 
     ``items`` is ``(plan_index, cell, identity_digest)`` triples in plan
-    order; ``execute(index, cell, config)`` runs one real simulation and
+    order; ``execute(cell, config, digest)`` runs one real simulation and
     returns its record.  Within each elision group, members run in order;
     before a member simulates, every already-executed member's record is
-    checked with :func:`pair_invariant` and forwarded on the first match
-    (``counts["elided"]``).  An executed member that forwards at least
-    one sibling counts as a ``counts["representatives"]``; a multi-member
-    group where some sibling still had to simulate counts one
-    ``counts["fallbacks"]``.  With elision disabled every item executes —
-    same yields, no grouping.
+    checked with :func:`pair_invariant` and the member is forwarded from
+    the first match.  An executed member that forwards at least one
+    sibling counts as a ``counts["representative_runs"]``; a
+    multi-member group where some sibling still had to simulate counts
+    one ``counts["elision_fallbacks"]``.  With elision disabled every
+    item executes — same yields, no grouping.
     """
     if not elision_enabled():
-        for index, cell, _digest in items:
-            yield index, execute(index, cell, cell.config())
+        for index, cell, digest in items:
+            yield index, execute(cell, cell.config(), digest)
         return
     groups: "OrderedDict[Tuple, list]" = OrderedDict()
     for index, cell, digest in items:
@@ -196,18 +196,17 @@ def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
                     donor = entry
                     break
             if donor is not None:
-                counts["elided"] += 1
                 if donor[2] == 0:
-                    counts["representatives"] += 1
+                    counts["representative_runs"] += 1
                 donor[2] += 1
                 rep_key = cache_key(key[0], donor[0])
                 yield index, forwarded_record(donor[1], cell, config,
                                               rep_key)
                 continue
-            record = execute(index, cell, config)
+            record = execute(cell, config, key[0])
             executed.append([config, record, 0])
             if position > 0:
                 simulated_siblings += 1
             yield index, record
         if simulated_siblings:
-            counts["fallbacks"] += 1
+            counts["elision_fallbacks"] += 1

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -46,131 +45,17 @@ from ..uarch.lsq import LsqStats
 from ..uarch.network import NetworkStats
 from ..uarch.predictor import PredictorStats
 from ..uarch.processor import Processor, SimResult
+from ..uarch.specialize import PLAN_STORE_COUNTS, configure_plan_store
 from ..workloads.common import KernelInstance
 from .cache import SCHEMA_VERSION, ResultCache, cache_key
 from .elide import elide_pairs
 from .journal import PlanJournal, plan_digest
-from .pool import (GOLDEN_STORE_COUNTS, SweepMetrics, WorkerPool,
-                   configure_golden_store, golden_for, identity_digests,
-                   run_cell_chunk)
+from .metrics import (SweepMetrics, add_counts, count_cell, new_counts,
+                      with_pool_counts, write_session_shard)
+from .pool import (GOLDEN_STORE_COUNTS, WorkerPool, configure_golden_store,
+                   golden_for, identity_digests, run_cell_chunk)
 from .runner import POINT_ORDER
 from .sweep import SweepCell, SweepPlan
-
-#: Session-shard counters that sum across processes when merging.
-_SESSION_SUM_KEYS = ("plans_run", "cells_executed", "cells_from_cache",
-                     "kernels_executed", "golden_fresh_runs",
-                     "golden_memo_hits", "pool_spinups", "pool_reuses",
-                     "specialize_hits", "specialize_misses",
-                     "fu_work_issued", "fu_work_committed",
-                     "squashed_executions", "wave_operand_sends",
-                     "epoch_rollbacks", "epoch_rollback_depth",
-                     "cells_elided", "representative_runs",
-                     "elision_fallbacks", "plan_cache_hits",
-                     "plan_cache_misses", "golden_store_hits")
-
-#: Block-plan counters lifted from executed cells' SimStats (cached
-#: cells are excluded — they did no plan work in this session, and their
-#: recorded counters describe whichever run produced them).
-_SPECIALIZE_KEYS = ("specialize_hits", "specialize_misses")
-
-#: Work-attribution counters lifted from executed cells' SimStats.
-#: Unlike the specialize keys these describe the *simulated machine*
-#: (issued vs. committed vs. squashed FU work, wave-2+ operand traffic,
-#: epoch rollbacks), so they sum over executed cells only — the same
-#: session-scoping rule as ``_SPECIALIZE_KEYS``.
-_WORK_KEYS = ("fu_work_issued", "fu_work_committed",
-              "squashed_executions", "wave_operand_sends",
-              "epoch_rollbacks", "epoch_rollback_depth")
-
-#: Cross-point elision counters per plan (repro.harness.elide).
-_ELIDE_KEYS = ("elided", "representatives", "fallbacks")
-
-#: Persistent plan/golden store counters per plan.
-_PLANSTORE_KEYS = ("plan_cache_hits", "plan_cache_misses",
-                   "golden_store_hits")
-
-
-def session_shard_path(root: str, pid: Optional[int] = None) -> str:
-    """This process's (or ``pid``'s) session-metrics shard file."""
-    return os.path.join(root, f"session.{pid or os.getpid()}.json")
-
-
-def session_shard_files(root: str) -> List[str]:
-    """Every ``session.<pid>.json`` shard under ``root``.
-
-    Each runner process writes its own shard, so runners sharing a cache
-    root never clobber each other's counters.  In-flight ``*.tmp.*``
-    writer files, and any other ``session.*`` name, are skipped."""
-    out = []
-    if not os.path.isdir(root):
-        return out
-    for name in sorted(os.listdir(root)):
-        parts = name.split(".")
-        if (len(parts) == 3 and parts[0] == "session"
-                and parts[1].isdigit() and parts[2] == "json"):
-            out.append(os.path.join(root, name))
-    return out
-
-
-def write_session_shard(root: str, payload: dict) -> None:
-    """Atomically write this process's session-metrics shard.
-
-    Best-effort: metrics must never fail a sweep.
-    """
-    try:
-        os.makedirs(root, exist_ok=True)
-        path = session_shard_path(root)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def merge_session_metrics(root: str) -> Optional[dict]:
-    """Merge every per-process session shard under ``root``.
-
-    Counter keys sum across shards; ``last_plan`` comes from the most
-    recently written shard.  Returns None when no shard parses — the
-    consumer (``cli cache stats``, the server's ``/metrics``) then just
-    omits the section.
-    """
-    merged: Dict[str, object] = {key: 0 for key in _SESSION_SUM_KEYS}
-    wall = 0.0
-    last_plan, last_mtime = None, -1.0
-    shards = 0
-    for path in session_shard_files(root):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            mtime = os.path.getmtime(path)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if not isinstance(payload, dict):
-            continue
-        shards += 1
-        for key in _SESSION_SUM_KEYS:
-            value = payload.get(key, 0)
-            if isinstance(value, (int, float)):
-                merged[key] += int(value)
-        seconds = payload.get("wall_seconds", 0.0)
-        if isinstance(seconds, (int, float)):
-            wall += float(seconds)
-        if mtime > last_mtime and isinstance(payload.get("last_plan"),
-                                             dict):
-            last_mtime, last_plan = mtime, payload["last_plan"]
-    if not shards:
-        return None
-    merged["wall_seconds"] = round(wall, 6)
-    kernels = merged["kernels_executed"]
-    merged["golden_runs_per_kernel"] = (
-        round(merged["golden_fresh_runs"] / kernels, 4) if kernels
-        else 0.0)
-    merged["shards"] = shards
-    merged["last_plan"] = last_plan
-    return merged
-
 
 def _available_cores() -> int:
     """Cores this process may actually run on (affinity-aware)."""
@@ -329,6 +214,47 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
     }
 
 
+def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
+              counts: Dict[str, int]) -> Iterable[Tuple[int, dict]]:
+    """The chunk body, pooled (:func:`~repro.harness.pool.run_cell_chunk`)
+    and in-process alike: yields ``(plan_index, record)`` per item.
+
+    ``items`` are ``(plan_index, cell, identity_digest)`` triples in plan
+    order.  Each kernel's golden run comes from the process's memo
+    (derived once), every machine point of a kernel hands its retired
+    frames to the next through one arena, and cross-point elision
+    forwards clean representatives to their siblings.  Adds the
+    ``CELL`` and ``CHUNK`` counters (repro.harness.metrics) to
+    ``counts``; the store counters once the items are exhausted.
+    """
+    arenas: Dict[int, dict] = {}
+    kernels = set()
+    plan_hits, plan_misses = PLAN_STORE_COUNTS["hits"], \
+        PLAN_STORE_COUNTS["misses"]
+    golden_store_hits = GOLDEN_STORE_COUNTS["hits"]
+
+    def execute(cell, config, digest):
+        golden, fresh = golden_for(cell.instance, digest)
+        counts["golden_fresh_runs" if fresh else "golden_memo_hits"] += 1
+        kernels.add(digest)
+        # One frame arena per program *object* (identity, not digest):
+        # frames parked by one machine point are reused by the kernel's
+        # next point, and a frame's block references always belong to
+        # the running program.
+        arena = arenas.setdefault(id(cell.instance.program), {})
+        return execute_cell(cell, golden=golden, frame_arena=arena,
+                            config=config)
+
+    for index, record in elide_pairs(items, execute, counts):
+        count_cell(counts, record)
+        yield index, record
+    counts["kernels_executed"] += len(kernels)
+    counts["plan_cache_hits"] += PLAN_STORE_COUNTS["hits"] - plan_hits
+    counts["plan_cache_misses"] += PLAN_STORE_COUNTS["misses"] - plan_misses
+    counts["golden_store_hits"] += \
+        GOLDEN_STORE_COUNTS["hits"] - golden_store_hits
+
+
 def result_from_record(record: dict, from_cache: bool) -> CellResult:
     """Rebuild a :class:`CellResult` from a cache/worker record."""
     payload = record["result"]
@@ -374,13 +300,8 @@ class ParallelRunner:
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  pool: Optional[WorkerPool] = None,
-                 write_session_metrics: bool = True,
                  journal: bool = False):
         self.jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
-        #: When False, the runner never writes its session shard — the
-        #: sweep server aggregates across runners and writes one shard
-        #: per server process instead.
-        self.write_session_metrics = write_session_metrics
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         #: Worker processes that can actually run concurrently.  Asking
@@ -403,43 +324,35 @@ class ParallelRunner:
         # *before* any pool forks, so workers inherit the roots — and
         # detach them when this runner has no cache, so an uncached
         # session never reads a previous session's stores.
-        from ..uarch.specialize import configure_plan_store
         configure_plan_store(cache.root if cache is not None else None)
         configure_golden_store(cache.root if cache is not None else None)
         #: Counters merged across every cell this runner has produced
         #: (cached or fresh) — the whole-session aggregate.
         self.merged_stats = SimStats()
-        self.cells_executed = 0
-        self.cells_from_cache = 0
-        #: Cross-point elision session totals (repro.harness.elide).
-        self.cells_elided = 0
-        self.representative_runs = 0
-        self.elision_fallbacks = 0
-        #: Persistent plan/golden store session totals.
-        self.planstore_totals: Dict[str, int] = \
-            dict.fromkeys(_PLANSTORE_KEYS, 0)
+        #: Session totals of every registered sweep counter
+        #: (repro.harness.metrics), summed plan by plan; the ``POOL``
+        #: counters stay zero here and are read from the pool.
+        self.totals: Dict[str, int] = new_counts()
+        #: The same totals under the name perfbench reads the
+        #: persistent-store counters from.
+        self.planstore_totals = self.totals
+        self.wall_seconds = 0.0
         #: The persistent pool; created lazily on the first plan that
         #: needs one, then reused until :meth:`close`.
         self.pool = pool
         self._owns_pool = pool is None
-        #: Session-level redundancy accounting (across all plans).
-        self.plans_run = 0
-        self.wall_seconds = 0.0
-        self.kernels_executed = 0
-        self.golden_fresh = 0
-        self.golden_memo_hits = 0
-        self.pool_reuses = 0
-        #: Block-plan activity summed over *executed* cells.
-        self.specialize_hits = 0
-        self.specialize_misses = 0
-        self._plan_specialize: Dict[str, int] = \
-            dict.fromkeys(_SPECIALIZE_KEYS, 0)
-        #: Work attribution summed over *executed* cells (session total
-        #: and the per-plan scratch consumed by :meth:`_account_plan`).
-        self.work_totals: Dict[str, int] = dict.fromkeys(_WORK_KEYS, 0)
-        self._plan_work: Dict[str, int] = dict.fromkeys(_WORK_KEYS, 0)
-        #: Metrics of the most recent :meth:`run_plan` call.
+        #: Metrics of the most recent :meth:`run_plan`/:meth:`fill_plan`.
         self.last_metrics: Optional[SweepMetrics] = None
+
+    # Two session totals under the names perfbench/workloads.py reads.
+
+    @property
+    def golden_fresh(self) -> int:
+        return self.totals["golden_fresh_runs"]
+
+    @property
+    def elision_fallbacks(self) -> int:
+        return self.totals["elision_fallbacks"]
 
     # -- plan execution -------------------------------------------------
 
@@ -469,30 +382,20 @@ class ParallelRunner:
                 if result is not None:
                     journal.record(index, keys[index], "cache")
 
-        self._plan_specialize = dict.fromkeys(_SPECIALIZE_KEYS, 0)
-        self._plan_work = dict.fromkeys(_WORK_KEYS, 0)
-        for index, record in self._execute(cells, digests, pending):
-            forwarded = record.get("forwarded_from")
+        counts = new_counts()
+        counts["cells_from_cache"] = len(cells) - len(pending)
+        pooled, records = self._execute(cells, digests, pending, counts)
+        for index, record in records:
             self._admit(keys[index], record)
-            if not forwarded:
-                # Forwarded records replay the representative's counters;
-                # folding them in would double-count its work.
-                self._note_cell_stats(record)
             if journal is not None:
                 journal.record(index, keys[index],
-                               "forwarded" if forwarded else "executed")
+                               "forwarded" if record.get("forwarded_from")
+                               else "executed")
             results[index] = result_from_record(record, from_cache=False)
 
         for result in results:
             self.merged_stats.merge(result.stats)
-            if result.from_cache:
-                self.cells_from_cache += 1
-            elif result.forwarded_from:
-                self.cells_elided += 1
-            else:
-                self.cells_executed += 1
-        self._account_plan(len(cells),
-                           len(pending) - self._plan_elide["elided"],
+        self._account_plan(counts, len(cells), pooled,
                            time.perf_counter() - started)
         return results
 
@@ -534,34 +437,25 @@ class ParallelRunner:
             for index in cached:
                 journal.record(index, keys[index], "cache")
 
-        executed = 0
-        forwarded_cells = 0
-        self._plan_specialize = dict.fromkeys(_SPECIALIZE_KEYS, 0)
-        self._plan_work = dict.fromkeys(_WORK_KEYS, 0)
-        for index, record in self._execute(cells, digests, owned):
-            forwarded = record.get("forwarded_from")
+        counts = new_counts()
+        counts["cells_from_cache"] = len(cached)
+        pooled, records = self._execute(cells, digests, owned, counts)
+        for index, record in records:
             self._admit(keys[index], record)
             self._merge_record_stats(record)
-            if forwarded:
-                forwarded_cells += 1
-            else:
-                self._note_cell_stats(record)
-                executed += 1
             if journal is not None:
                 journal.record(index, keys[index],
-                               "forwarded" if forwarded else "executed")
-        self.cells_executed += executed
-        self.cells_elided += forwarded_cells
-        self.cells_from_cache += len(cached)
-        self._account_plan(len(cells), executed,
+                               "forwarded" if record.get("forwarded_from")
+                               else "executed")
+        self._account_plan(counts, len(cells), pooled,
                            time.perf_counter() - started)
         return {
             "plan": journal.digest if journal is not None
             else plan_digest(keys),
             "cells": len(cells),
             "from_cache": len(cached),
-            "executed": executed,
-            "elided": forwarded_cells,
+            "executed": counts["cells_executed"],
+            "elided": counts["cells_elided"],
             "foreign": len(foreign),
             "owned": len(owned),
         }
@@ -587,34 +481,27 @@ class ParallelRunner:
             self.cache.store(key, record)
 
     def _execute(self, cells: List[SweepCell], digests: List[str],
-                 pending: List[int]) -> Iterable[Tuple[int, dict]]:
-        """Run the un-cached cells; yields ``(plan_index, record)``.
+                 pending: List[int], counts: Dict[str, int],
+                 ) -> Tuple[bool, Iterable[Tuple[int, dict]]]:
+        """Run the un-cached cells; returns ``(pooled, records)``.
 
-        Records are yielded as their work completes, so the caller
-        admits and journals them at once: in-process, each cell as it
-        completes, and a crash mid-plan loses at most the in-flight
-        cell; pooled, each chunk's records as soon as that chunk and
-        every chunk submitted before it have finished, and a crash loses
-        at most the chunks not yet yielded.  Also fills the per-plan
-        redundancy counters consumed by :meth:`_account_plan` (complete
-        once the iterator is exhausted).
+        ``records`` yields ``(plan_index, record)`` as the work
+        completes, so the caller admits and journals them at once:
+        in-process, each cell as it completes, and a crash mid-plan
+        loses at most the in-flight cell; pooled, each chunk's records
+        as soon as that chunk and every chunk submitted before it have
+        finished, and a crash loses at most the chunks not yet yielded.
+        Each chunk's counters are added to ``counts`` (complete once
+        ``records`` is exhausted).
         """
-        self._plan_golden_fresh = 0
-        self._plan_golden_hits = 0
-        self._plan_dedup_hits = 0
-        self._plan_pooled = False
-        self._plan_elide = dict.fromkeys(_ELIDE_KEYS, 0)
-        self._plan_planstore = dict.fromkeys(_PLANSTORE_KEYS, 0)
         if not pending:
-            self._plan_kernels = 0
-            return iter(())
+            return False, ()
 
         # Kernel-affine grouping: one chunk per identity digest, chunks
         # and their members both in plan order.
         groups: Dict[str, List[int]] = {}
         for index in pending:
             groups.setdefault(digests[index], []).append(index)
-        self._plan_kernels = len(groups)
 
         # In-process fast path: nothing to gain from a pool when the
         # effective job count is 1 (requested, or clamped to the host's
@@ -626,44 +513,14 @@ class ParallelRunner:
         if self.pool is None and (effective == 1
                                   or len(pending) < effective
                                   or len(groups) == 1):
-            return self._execute_inproc(cells, digests, pending)
-        return self._execute_pooled(cells, digests, groups)
-
-    def _execute_inproc(self, cells: List[SweepCell], digests: List[str],
-                        pending: List[int]):
-        """In-process execution, one ``(index, record)`` per yield."""
-        from ..uarch.specialize import PLAN_STORE_COUNTS
-        arenas: Dict[int, dict] = {}
-        plan_hits0 = PLAN_STORE_COUNTS["hits"]
-        plan_miss0 = PLAN_STORE_COUNTS["misses"]
-        golden_store0 = GOLDEN_STORE_COUNTS["hits"]
-
-        def execute(index, cell, config):
-            golden, fresh = golden_for(cell.instance, digests[index])
-            if fresh:
-                self._plan_golden_fresh += 1
-            else:
-                self._plan_golden_hits += 1
-            # One frame arena per program *object* (identity, not
-            # digest): frames parked by one machine point are reused
-            # by the kernel's next point, and a frame's block
-            # references always belong to the running program.
-            arena = arenas.setdefault(id(cell.instance.program), {})
-            return execute_cell(cell, golden=golden, frame_arena=arena,
-                                config=config)
-
-        yield from elide_pairs(
-            ((index, cells[index], digests[index]) for index in pending),
-            execute, self._plan_elide)
-        plan = self._plan_planstore
-        plan["plan_cache_hits"] += PLAN_STORE_COUNTS["hits"] - plan_hits0
-        plan["plan_cache_misses"] += \
-            PLAN_STORE_COUNTS["misses"] - plan_miss0
-        plan["golden_store_hits"] += \
-            GOLDEN_STORE_COUNTS["hits"] - golden_store0
+            return False, run_chunk(
+                ((index, cells[index], digests[index]) for index in pending),
+                counts)
+        return True, self._execute_pooled(cells, digests, groups, counts)
 
     def _execute_pooled(self, cells: List[SweepCell], digests: List[str],
-                        groups: Dict[str, List[int]]):
+                        groups: Dict[str, List[int]],
+                        counts: Dict[str, int]):
         """Pooled execution: one task per kernel so each worker derives
         (or memo-hits) that kernel's golden run exactly once.  Chunks are
         submitted by cell count, largest first, ties in plan order.  The
@@ -683,24 +540,12 @@ class ParallelRunner:
         # Chunk labels: the identity digest every member shares — on
         # pool exhaustion they name the lost kernels precisely.
         chunk_digests = [digests[chunk[0][0]] for chunk in chunks]
-        self._plan_pooled = True
         if self.pool is None:
             self.pool = WorkerPool(self.effective_jobs)
-        if self.pool.warm:
-            self.pool_reuses += 1
         for _, payload in self.pool.stream(run_cell_chunk, chunks,
                                            labels=chunk_digests):
-            self._plan_golden_fresh += payload["golden_fresh"]
-            self._plan_golden_hits += payload["golden_hits"]
-            self._plan_elide["elided"] += payload.get("elided", 0)
-            self._plan_elide["representatives"] += \
-                payload.get("representatives", 0)
-            self._plan_elide["fallbacks"] += payload.get("fallbacks", 0)
-            for key, value in payload.get("planstore", {}).items():
-                if key in self._plan_planstore:
-                    self._plan_planstore[key] += int(value)
-            for index, record in payload["records"]:
-                yield index, record
+            add_counts(counts, payload["counts"])
+            yield from payload["records"]
 
     @staticmethod
     def _pruned(cell: SweepCell,
@@ -726,100 +571,15 @@ class ParallelRunner:
         self.merged_stats.merge(
             _counters_from_dict(SimStats, record["result"]["stats"]))
 
-    def _note_cell_stats(self, record: dict) -> None:
-        """Fold one executed cell's block-plan and work-attribution
-        counters into the per-plan sums (consumed by
-        :meth:`_account_plan`)."""
-        stats = record["result"]["stats"]
-        plan = self._plan_specialize
-        for key in _SPECIALIZE_KEYS:
-            plan[key] += int(stats.get(key, 0))
-        work = self._plan_work
-        for key in _WORK_KEYS:
-            work[key] += int(stats.get(key, 0))
-
-    def _account_plan(self, cells: int, executed: int,
-                      wall: float) -> None:
-        kernels = self._plan_kernels
-        fresh = self._plan_golden_fresh
-        spec = self._plan_specialize
-        work = self._plan_work
-        elide = getattr(self, "_plan_elide", None) \
-            or dict.fromkeys(_ELIDE_KEYS, 0)
-        planstore = getattr(self, "_plan_planstore", None) \
-            or dict.fromkeys(_PLANSTORE_KEYS, 0)
-        self.plans_run += 1
+    def _account_plan(self, counts: Dict[str, int], cells: int,
+                      pooled: bool, wall: float) -> None:
+        counts["plans_run"] = 1
+        add_counts(self.totals, counts)
         self.wall_seconds += wall
-        self.kernels_executed += kernels
-        self.golden_fresh += fresh
-        self.golden_memo_hits += self._plan_golden_hits
-        self.specialize_hits += spec["specialize_hits"]
-        self.specialize_misses += spec["specialize_misses"]
-        self.representative_runs += elide["representatives"]
-        self.elision_fallbacks += elide["fallbacks"]
-        for key in _PLANSTORE_KEYS:
-            self.planstore_totals[key] += planstore[key]
-        for key in _WORK_KEYS:
-            self.work_totals[key] += work[key]
         self.last_metrics = SweepMetrics(
-            cells=cells,
-            executed=executed,
-            from_cache=cells - executed - elide["elided"],
-            wall_seconds=wall,
-            # Honest throughput: only *simulated* cells count; elided
-            # and cached cells are broken out in their own fields.
-            cells_per_sec=executed / wall if wall > 0 else 0.0,
-            kernels_executed=kernels,
-            golden_fresh_runs=fresh,
-            golden_memo_hits=self._plan_golden_hits,
-            golden_runs_per_kernel=fresh / kernels if kernels else 0.0,
-            pooled=self._plan_pooled,
-            pool_spinups=self.pool.spinups if self.pool else 0,
-            pool_reuses=self.pool_reuses,
-            inflight_dedup_hits=getattr(self, "_plan_dedup_hits", 0),
-            specialize_hits=spec["specialize_hits"],
-            specialize_misses=spec["specialize_misses"],
-            fu_work_issued=work["fu_work_issued"],
-            fu_work_committed=work["fu_work_committed"],
-            squashed_executions=work["squashed_executions"],
-            wave_operand_sends=work["wave_operand_sends"],
-            epoch_rollbacks=work["epoch_rollbacks"],
-            epoch_rollback_depth=work["epoch_rollback_depth"],
-            elided_cells=elide["elided"],
-            representative_runs=elide["representatives"],
-            elision_fallbacks=elide["fallbacks"],
-            plan_cache_hits=planstore["plan_cache_hits"],
-            plan_cache_misses=planstore["plan_cache_misses"],
-            golden_store_hits=planstore["golden_store_hits"],
-        )
+            cells=cells, wall_seconds=wall, pooled=pooled,
+            **with_pool_counts(counts, self.pool))
         self._write_session_metrics()
-
-    def session_payload(self) -> dict:
-        """This runner's cumulative session counters, shard-schema shaped
-        (the same keys :func:`merge_session_metrics` sums)."""
-        return {
-            "plans_run": self.plans_run,
-            "cells_executed": self.cells_executed,
-            "cells_from_cache": self.cells_from_cache,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "kernels_executed": self.kernels_executed,
-            "golden_fresh_runs": self.golden_fresh,
-            "golden_memo_hits": self.golden_memo_hits,
-            "golden_runs_per_kernel": round(
-                self.golden_fresh / self.kernels_executed, 4)
-                if self.kernels_executed else 0.0,
-            "pool_spinups": self.pool.spinups if self.pool else 0,
-            "pool_reuses": self.pool_reuses,
-            "specialize_hits": self.specialize_hits,
-            "specialize_misses": self.specialize_misses,
-            **{key: self.work_totals[key] for key in _WORK_KEYS},
-            "cells_elided": self.cells_elided,
-            "representative_runs": self.representative_runs,
-            "elision_fallbacks": self.elision_fallbacks,
-            **{key: self.planstore_totals[key] for key in _PLANSTORE_KEYS},
-            "last_plan": self.last_metrics.as_dict()
-            if self.last_metrics else None,
-        }
 
     def _write_session_metrics(self) -> None:
         """Drop this process's session shard next to the cache shards.
@@ -829,9 +589,11 @@ class ParallelRunner:
         Per-process naming (``session.<pid>.json``) is what lets several
         runners share one cache root without clobbering each other.
         """
-        if self.cache is None or not self.write_session_metrics:
-            return
-        write_session_shard(self.cache.root, self.session_payload())
+        if self.cache is not None:
+            write_session_shard(self.cache.root,
+                                with_pool_counts(self.totals, self.pool),
+                                self.wall_seconds,
+                                self.last_metrics.as_dict())
 
     # -- lifecycle ------------------------------------------------------
 
@@ -868,22 +630,24 @@ class ParallelRunner:
     # -- reporting ------------------------------------------------------
 
     def summary(self) -> str:
-        parts = [f"{self.cells_executed} simulated",
-                 f"{self.cells_from_cache} from cache"]
-        if self.cells_elided:
-            parts.insert(1, f"{self.cells_elided} elided")
+        totals = with_pool_counts(self.totals, self.pool)
+        executed = totals["cells_executed"]
+        parts = [f"{executed} simulated",
+                 f"{totals['cells_from_cache']} from cache"]
+        if totals["cells_elided"]:
+            parts.insert(1, f"{totals['cells_elided']} elided")
         if self.cache is not None:
             s = self.cache.session
             parts.append(f"cache {s.hits} hits / {s.misses} misses"
                          + (f" / {s.corrupt} corrupt" if s.corrupt else ""))
         parts.append(f"{self.merged_stats.cycles} cycles simulated")
         if self.wall_seconds > 0:
-            parts.append(f"{self.cells_executed / self.wall_seconds:.1f} "
+            parts.append(f"{executed / self.wall_seconds:.1f} "
                          "simulated cells/s")
-        if self.kernels_executed:
-            parts.append("golden runs/kernel "
-                         f"{self.golden_fresh / self.kernels_executed:.2f}")
+        if totals["kernels_executed"]:
+            parts.append("golden runs/kernel {:.2f}".format(
+                totals["golden_fresh_runs"] / totals["kernels_executed"]))
         if self.pool is not None:
-            parts.append(f"pool {self.pool.spinups} spinups / "
-                         f"{self.pool_reuses} reuses")
+            parts.append(f"pool {totals['pool_spinups']} spinups / "
+                         f"{totals['pool_reuses']} reuses")
         return ", ".join(parts)

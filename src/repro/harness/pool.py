@@ -38,7 +38,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -46,7 +45,7 @@ from ..arch.interp import run_program
 from ..arch.state import ArchState
 from ..arch.trace import ExecutionTrace
 from ..errors import SimulationError
-from ..uarch.specialize import PLAN_STORE_COUNTS
+from .metrics import CHUNK_NAMES, new_counts
 
 
 class PoolExhaustedError(SimulationError, BrokenProcessPool):
@@ -209,13 +208,16 @@ def run_cell_chunk(chunk: Sequence) -> dict:
     share one identity digest (the runner guarantees this), so the golden
     trace/state pair is derived once — from the per-worker memo when the
     kernel was seen before — and shared by every simulation in the task.
-    Returns the indexed records plus redundancy accounting.
+    Cross-point elision runs *inside* the chunk: a kernel's whole point
+    grid lives in one task, so a clean representative forwards to its
+    siblings right here.  Returns the indexed records and the chunk's
+    ``counts`` (the ``CELL`` and ``CHUNK`` counters of
+    repro.harness.metrics).
     """
     # Imported here: repro.harness.parallel imports this module at top
     # level (the runner owns a WorkerPool), so the reverse import must be
     # deferred until the worker actually executes a chunk.
-    from .elide import elide_pairs
-    from .parallel import execute_cell
+    from .parallel import run_chunk
 
     # The runner's chunks share one instance object per kernel (and
     # pickling keeps that sharing), so this derives one digest.
@@ -224,49 +226,10 @@ def run_cell_chunk(chunk: Sequence) -> dict:
         raise SimulationError(
             f"kernel-affine chunk spans {len(digests)} identity digests")
     digest = next(iter(digests))
-    golden_fresh = 0
-    golden_hits = 0
-    arenas: Dict[int, dict] = {}
-    counts = {"representatives": 0, "elided": 0, "fallbacks": 0}
-    plan_hits0 = PLAN_STORE_COUNTS["hits"]
-    plan_miss0 = PLAN_STORE_COUNTS["misses"]
-    golden_store0 = GOLDEN_STORE_COUNTS["hits"]
-
-    def execute(index, cell, config):
-        nonlocal golden_fresh, golden_hits
-        golden, fresh = golden_for(cell.instance, digest)
-        if fresh:
-            golden_fresh += 1
-        else:
-            golden_hits += 1
-        # Per-program-object frame arena: the chunk's machine points
-        # hand their retired frames to the next point's processor.
-        arena = arenas.setdefault(id(cell.instance.program), {})
-        return execute_cell(cell, golden=golden, frame_arena=arena,
-                            config=config)
-
-    # Cross-point elision runs *inside* the chunk: a kernel's whole
-    # point grid lives in one task (the runner guarantees it), so a
-    # clean representative forwards to its siblings right here without
-    # a second scheduling phase or an extra golden run.
-    records = list(elide_pairs(
-        ((index, cell, digest) for index, cell in chunk),
-        execute, counts))
-    return {
-        "records": records,
-        "pid": os.getpid(),
-        "golden_fresh": golden_fresh,
-        "golden_hits": golden_hits,
-        "elided": counts["elided"],
-        "representatives": counts["representatives"],
-        "fallbacks": counts["fallbacks"],
-        "planstore": {
-            "plan_cache_hits": PLAN_STORE_COUNTS["hits"] - plan_hits0,
-            "plan_cache_misses": PLAN_STORE_COUNTS["misses"] - plan_miss0,
-            "golden_store_hits":
-                GOLDEN_STORE_COUNTS["hits"] - golden_store0,
-        },
-    }
+    counts = new_counts(CHUNK_NAMES)
+    records = list(run_chunk(((index, cell, digest) for index, cell in chunk),
+                             counts))
+    return {"records": records, "counts": counts, "pid": os.getpid()}
 
 
 #: Seconds between a pool worker's checks that its parent is alive.
@@ -300,7 +263,8 @@ class WorkerPool:
     The executor is created lazily on the first :meth:`stream` (or
     :meth:`run`) and reused by every subsequent call until
     :meth:`close`; ``spinups`` counts how many executors were ever built
-    (1 for a healthy session).  A worker death breaks a
+    (1 for a healthy session) and ``reuses`` how many calls found one
+    already built.  A worker death breaks a
     ``ProcessPoolExecutor`` wholesale, so :meth:`stream` collects the
     tasks whose futures failed with :class:`BrokenProcessPool`, tears the
     executor down, and resubmits them to a fresh one — at most
@@ -315,6 +279,7 @@ class WorkerPool:
         self.jobs = jobs
         self.max_respawns = max_respawns
         self.spinups = 0
+        self.reuses = 0
         self.broken_recoveries = 0
         self.tasks_run = 0
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -344,11 +309,6 @@ class WorkerPool:
             self.broken_recoveries += 1
         executor.shutdown()
 
-    @property
-    def warm(self) -> bool:
-        """True once an executor exists (the next plan reuses it)."""
-        return self._executor is not None
-
     def stream(self, fn: Callable, tasks: Sequence,
                labels: Optional[Sequence] = None,
                ) -> Iterator[Tuple[int, object]]:
@@ -372,6 +332,8 @@ class WorkerPool:
         respawns = 0
         while pending:
             with self._lock:
+                if not respawns and self._executor is not None:
+                    self.reuses += 1
                 executor, generation = self._ensure_locked()
             futures = []
             broken: List[int] = []
@@ -434,84 +396,3 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-@dataclass
-class SweepMetrics:
-    """Sweep-level redundancy and wall-clock accounting for one plan."""
-
-    cells: int                   # cells in the plan
-    executed: int                # actually simulated (cache misses
-                                 # minus forwarded siblings)
-    from_cache: int              # served by the result cache
-    wall_seconds: float          # run_plan wall-clock
-    cells_per_sec: float         # *executed* / wall_seconds — elided and
-                                 # cached cells are reported separately
-                                 # so throughput numbers stay honest
-    kernels_executed: int        # distinct identity digests simulated
-    golden_fresh_runs: int       # functional-interpreter runs actually paid
-    golden_memo_hits: int        # golden requests served by a memo
-    golden_runs_per_kernel: float  # fresh runs / distinct kernels (<= 1.0)
-    pooled: bool                 # True if a process pool executed cells
-    pool_spinups: int            # executors ever built (session total)
-    pool_reuses: int             # plans served by an already-warm pool
-    #: Cells of this plan that were not executed *or* cached but joined
-    #: an execution already in flight for another plan (sweep server).
-    inflight_dedup_hits: int = 0
-    #: Block-plan code-cache activity summed over this plan's *executed*
-    #: cells (repro.uarch.specialize; cached cells excluded).
-    specialize_hits: int = 0
-    specialize_misses: int = 0
-    #: Work attribution summed over this plan's *executed* cells: FU
-    #: work by fate (issued == committed + squashed), wave-2+ operand
-    #: re-delivery traffic, and epoch-granular rollback activity (zero
-    #: for the non-epoch protocols).
-    fu_work_issued: int = 0
-    fu_work_committed: int = 0
-    squashed_executions: int = 0
-    wave_operand_sends: int = 0
-    epoch_rollbacks: int = 0
-    epoch_rollback_depth: int = 0
-    #: Cross-point elision (repro.harness.elide): cells served by
-    #: forwarding a clean representative's record, the representative
-    #: runs that enabled it, and dirty-certificate groups that fell
-    #: back to per-point simulation.
-    elided_cells: int = 0
-    representative_runs: int = 0
-    elision_fallbacks: int = 0
-    #: Persistent plan/golden stores: block plans loaded from disk vs.
-    #: compiled+written-through, and golden runs served from disk (no
-    #: interpreter run paid).
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    golden_store_hits: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cells": self.cells,
-            "executed": self.executed,
-            "from_cache": self.from_cache,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "cells_per_sec": round(self.cells_per_sec, 2),
-            "kernels_executed": self.kernels_executed,
-            "golden_fresh_runs": self.golden_fresh_runs,
-            "golden_memo_hits": self.golden_memo_hits,
-            "golden_runs_per_kernel": round(self.golden_runs_per_kernel, 4),
-            "pooled": self.pooled,
-            "pool_spinups": self.pool_spinups,
-            "pool_reuses": self.pool_reuses,
-            "inflight_dedup_hits": self.inflight_dedup_hits,
-            "specialize_hits": self.specialize_hits,
-            "specialize_misses": self.specialize_misses,
-            "fu_work_issued": self.fu_work_issued,
-            "fu_work_committed": self.fu_work_committed,
-            "squashed_executions": self.squashed_executions,
-            "wave_operand_sends": self.wave_operand_sends,
-            "epoch_rollbacks": self.epoch_rollbacks,
-            "epoch_rollback_depth": self.epoch_rollback_depth,
-            "elided_cells": self.elided_cells,
-            "representative_runs": self.representative_runs,
-            "elision_fallbacks": self.elision_fallbacks,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "golden_store_hits": self.golden_store_hits,
-        }

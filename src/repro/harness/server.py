@@ -9,7 +9,7 @@
   experiment (``{"experiment": "e1", "fast": true}``) that renders the
   exact table the CLI would.
 * ``GET /plans/<id>`` — poll status with per-cell progress and the
-  plan's :class:`~repro.harness.pool.SweepMetrics`.
+  plan's :class:`~repro.harness.metrics.SweepMetrics`.
 * ``GET /plans/<id>/table`` — fetch the finished table (text/plain,
   byte-identical to an in-process run of the same request).
 * ``GET /healthz`` / ``GET /metrics`` — liveness and counters,
@@ -49,9 +49,10 @@ from ..stats.report import Table
 from ..workloads.registry import KERNELS
 from .cache import ResultCache, cache_key
 from .experiments import EXPERIMENTS, table_t1
-from .parallel import (_ELIDE_KEYS, _PLANSTORE_KEYS, _WORK_KEYS,
-                       ParallelRunner, merge_session_metrics,
-                       write_session_shard)
+from .metrics import (add_counts, count_cell, counter_sections,
+                      merge_session_metrics, new_counts, with_pool_counts,
+                      write_session_shard)
+from .parallel import ParallelRunner
 from .pool import PoolExhaustedError, WorkerPool, run_cell_chunk
 from .runner import POINT_ORDER, STANDARD_POINTS
 from .sweep import SweepPlan
@@ -185,7 +186,7 @@ class _EngineRunner(ParallelRunner):
 
     def __init__(self, server: "SweepServer", job: PlanJob):
         super().__init__(jobs=server.pool.jobs, cache=server.cache,
-                         pool=server.pool, write_session_metrics=False)
+                         pool=server.pool)
         self._server = server
         self._job = job
 
@@ -194,30 +195,31 @@ class _EngineRunner(ParallelRunner):
         # executed cell, even when several plans share it).
         pass
 
-    def _execute(self, cells, digests, pending):
-        self._plan_golden_fresh = 0
-        self._plan_golden_hits = 0
-        self._plan_dedup_hits = 0
-        # Per-plan elision view: "elided" counts this plan's forwarded
-        # records so run_plan's executed/from_cache split stays exact.
-        # Representatives/fallbacks (and plan-store traffic) are chunk
-        # -level facts that concurrent plans share, so the server counts
-        # them once per chunk (_run_chunk) rather than per plan.
-        self._plan_elide = dict.fromkeys(_ELIDE_KEYS, 0)
-        self._plan_planstore = dict.fromkeys(_PLANSTORE_KEYS, 0)
-        self._plan_kernels = len({digests[i] for i in pending})
-        self._plan_pooled = bool(pending)
+    def _execute(self, cells, digests, pending, counts):
         self._job.set_cells([cell.label for cell in cells], pending)
+        self._server.loop.call_soon_threadsafe(
+            self._server._count_request, len(cells),
+            counts["cells_from_cache"])
         if not pending:
-            return []
+            return False, ()
         future = asyncio.run_coroutine_threadsafe(
             self._server._schedule(self._job, cells, digests, pending),
             self._server.loop)
-        records, dedup_hits = future.result()
-        self._plan_dedup_hits = dedup_hits
-        self._plan_elide["elided"] = sum(
-            1 for _, record in records if record.get("forwarded_from"))
-        return records
+        records, joined = future.result()
+        # The plan's buckets: cells that joined another plan's execution
+        # in flight, and the cells it enqueued itself.  Chunk-level
+        # facts (golden runs, elision groups, stores) are shared by every
+        # plan in the chunk, so only the server counts them.
+        counts["dedup_inflight_hits"] += len(joined)
+        for index, record in records:
+            if index not in joined:
+                count_cell(counts, record)
+        return True, records
+
+    def _write_session_metrics(self):
+        # This process's one shard is the server's: hand it the plan.
+        self._server.loop.call_soon_threadsafe(self._server._absorb_plan,
+                                               self.last_metrics)
 
 
 def expand_grid(request: dict) -> SweepPlan:
@@ -286,27 +288,24 @@ class SweepServer:
         self.port: Optional[int] = None
         self.draining = False
         self.started_at: Optional[float] = None
-        self.counters: Dict[str, int] = {key: 0 for key in (
+        #: Server events; the sweep counters are in :attr:`totals`.
+        self.counters: Dict[str, int] = dict.fromkeys((
             "plans_submitted", "plans_completed", "plans_failed",
-            "cells_requested", "cells_executed", "cells_from_cache",
-            "dedup_inflight_hits", "golden_fresh", "golden_memo_hits",
-            "batches", "chunks", "chunk_failures", "pool_exhausted",
-            "pool_warm_chunks", "kernels_executed",
-            "cells_elided", "representative_runs", "elision_fallbacks",
-            "plan_cache_hits", "plan_cache_misses", "golden_store_hits")}
+            "cells_requested", "batches", "chunks", "chunk_failures",
+            "pool_exhausted"), 0)
+        #: Session totals of the registered sweep counters
+        #: (repro.harness.metrics): each executed chunk's counts once,
+        #: each plan's cached cells as it starts, each in-flight join as
+        #: it happens, and each finished plan in ``plans_run``.
+        self.totals: Dict[str, int] = new_counts()
+        self.wall_seconds = 0.0
         self.lost_digests: List[str] = []
         self._jobs: Dict[str, PlanJob] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._plan_tasks: Set[asyncio.Task] = set()
         self._work_tasks: Set[asyncio.Task] = set()
-        self._session_totals: Dict[str, float] = {key: 0 for key in (
-            "plans_run", "cells_executed", "cells_from_cache",
-            "wall_seconds", "pool_reuses", "specialize_hits",
-            "specialize_misses", "fu_work_issued", "fu_work_committed",
-            "squashed_executions", "wave_operand_sends",
-            "epoch_rollbacks", "epoch_rollback_depth")}
-        self._last_plan_metrics: Optional[dict] = None
+        self._last_plan: Optional[dict] = None
         self._plan_counter = itertools.count(1)
         self._serving = threading.Event()
         self._plan_executor = ThreadPoolExecutor(
@@ -394,36 +393,9 @@ class SweepServer:
     def _persist_session(self) -> None:
         """Write this server process's session shard (merged back by
         ``cli cache stats`` and ``/metrics``, alongside CLI runners)."""
-        totals = self._session_totals
-        counters = self.counters
-        kernels = counters["kernels_executed"]
-        write_session_shard(self.cache.root, {
-            "plans_run": int(totals["plans_run"]),
-            "cells_executed": int(totals["cells_executed"]),
-            "cells_from_cache": int(totals["cells_from_cache"]),
-            "wall_seconds": round(totals["wall_seconds"], 6),
-            "kernels_executed": kernels,
-            "golden_fresh_runs": counters["golden_fresh"],
-            "golden_memo_hits": counters["golden_memo_hits"],
-            "golden_runs_per_kernel": (
-                round(counters["golden_fresh"] / kernels, 4)
-                if kernels else 0.0),
-            "pool_spinups": self.pool.spinups,
-            "pool_reuses": int(totals["pool_reuses"]),
-            "specialize_hits": int(totals["specialize_hits"]),
-            "specialize_misses": int(totals["specialize_misses"]),
-            **{key: int(totals[key]) for key in _WORK_KEYS},
-            # Chunk-level elision and persistent-store activity: counted
-            # once per executed chunk, so concurrent plans sharing a
-            # chunk (in-flight dedup) never double-report the work.
-            "cells_elided": counters["cells_elided"],
-            "representative_runs": counters["representative_runs"],
-            "elision_fallbacks": counters["elision_fallbacks"],
-            "plan_cache_hits": counters["plan_cache_hits"],
-            "plan_cache_misses": counters["plan_cache_misses"],
-            "golden_store_hits": counters["golden_store_hits"],
-            "last_plan": self._last_plan_metrics,
-        })
+        write_session_shard(self.cache.root,
+                            with_pool_counts(self.totals, self.pool),
+                            self.wall_seconds, self._last_plan)
 
     # -- plan admission -------------------------------------------------
 
@@ -527,7 +499,6 @@ class SweepServer:
         finally:
             if runner.last_metrics is not None:
                 job.metrics = runner.last_metrics.as_dict()
-            self.loop.call_soon_threadsafe(self._absorb_runner, runner)
         return text
 
     @staticmethod
@@ -546,39 +517,36 @@ class SweepServer:
             kwargs["sample"] = int(sample)
         return func(**kwargs).render()
 
-    def _absorb_runner(self, runner: ParallelRunner) -> None:
-        """Fold one finished runner's counters into the session totals
-        (loop thread, so plain additions are safe)."""
-        totals = self._session_totals
-        totals["plans_run"] += runner.plans_run
-        totals["cells_executed"] += runner.cells_executed
-        totals["cells_from_cache"] += runner.cells_from_cache
-        totals["wall_seconds"] += runner.wall_seconds
-        totals["pool_reuses"] += runner.pool_reuses
-        totals["specialize_hits"] += runner.specialize_hits
-        totals["specialize_misses"] += runner.specialize_misses
-        for key in _WORK_KEYS:
-            totals[key] += runner.work_totals[key]
-        if runner.last_metrics is not None:
-            self._last_plan_metrics = runner.last_metrics.as_dict()
+    def _count_request(self, cells: int, from_cache: int) -> None:
+        """Count a plan's cells as it starts executing, so a plan that
+        fails or is still running shows in ``/metrics`` (loop thread,
+        so plain additions are safe)."""
+        self.counters["cells_requested"] += cells
+        self.totals["cells_from_cache"] += from_cache
+
+    def _absorb_plan(self, metrics) -> None:
+        """Count one finished plan; its cells were counted as it
+        started (loop thread)."""
+        self.totals["plans_run"] += 1
+        self.wall_seconds += metrics.wall_seconds
+        self._last_plan = metrics.as_dict()
 
     # -- the dedup/batch engine (event loop) ----------------------------
 
-    async def _schedule(self, job: PlanJob, cells, digests,
-                        pending) -> Tuple[List[Tuple[int, dict]], int]:
+    async def _schedule(self, job: PlanJob, cells, digests, pending,
+                        ) -> Tuple[List[Tuple[int, dict]], Set[int]]:
         """Schedule a plan's un-cached cells; returns
-        ``([(plan_index, record), ...], inflight_dedup_hits)``."""
-        self.counters["cells_requested"] += len(cells)
-        self.counters["cells_from_cache"] += len(cells) - len(pending)
-        dedup_hits = 0
+        ``([(plan_index, record), ...], joined)``, where ``joined`` holds
+        the plan indices that joined an execution already in flight."""
+        joined: Set[int] = set()
         waiters = []
         for index in pending:
             cell = cells[index]
             key = cache_key(digests[index], cell.config())
             future = self._inflight.get(key)
             if future is not None:
-                dedup_hits += 1
-                self.counters["dedup_inflight_hits"] += 1
+                joined.add(index)
+                self.totals["dedup_inflight_hits"] += 1
                 job.cell_state(index, "queued")
             else:
                 future = self.loop.create_future()
@@ -599,7 +567,7 @@ class SweepServer:
                 raise
             job.cell_state(index, "done")
             records.append((index, record))
-        return records, dedup_hits
+        return records, joined
 
     def _uninflight(self, key: str, _future) -> None:
         self._inflight.pop(key, None)
@@ -631,15 +599,12 @@ class SweepServer:
             groups: Dict[str, List[_CellTask]] = {}
             for task in batch:
                 groups.setdefault(task.digest, []).append(task)
-            self.counters["kernels_executed"] += len(groups)
             for digest, tasks in groups.items():
                 self._spawn_work(self._run_chunk(digest, tasks))
 
     async def _run_chunk(self, digest: str,
                          tasks: List[_CellTask]) -> None:
         self.counters["chunks"] += 1
-        if self.pool.warm:
-            self.counters["pool_warm_chunks"] += 1
         shared: Dict[int, object] = {}
         chunk = [(slot, ParallelRunner._pruned(task.cell, shared))
                  for slot, task in enumerate(tasks)]
@@ -660,17 +625,7 @@ class SweepServer:
                     task.future.set_exception(exc)
             return
         payload = payloads[0]
-        elided = payload.get("elided", 0)
-        self.counters["cells_executed"] += len(payload["records"]) - elided
-        self.counters["cells_elided"] += elided
-        self.counters["representative_runs"] += \
-            payload.get("representatives", 0)
-        self.counters["elision_fallbacks"] += payload.get("fallbacks", 0)
-        for key, value in payload.get("planstore", {}).items():
-            if key in self.counters:
-                self.counters[key] += int(value)
-        self.counters["golden_fresh"] += payload["golden_fresh"]
-        self.counters["golden_memo_hits"] += payload["golden_hits"]
+        add_counts(self.totals, payload["counts"])
         for slot, record in payload["records"]:
             task = tasks[slot]
             try:
@@ -683,65 +638,28 @@ class SweepServer:
     # -- metrics --------------------------------------------------------
 
     def metrics_payload(self) -> dict:
-        pool = self.pool
-        return {
-            "server": {
-                "pid": os.getpid(),
-                "uptime_seconds": round(time.time() - self.started_at, 3)
-                if self.started_at else 0.0,
-                "draining": self.draining,
-                "plans": {
-                    "submitted": self.counters["plans_submitted"],
-                    "completed": self.counters["plans_completed"],
-                    "failed": self.counters["plans_failed"],
-                    "active": len(self._plan_tasks),
-                },
-                "cells": {
-                    "requested": self.counters["cells_requested"],
-                    "executed": self.counters["cells_executed"],
-                    "from_cache": self.counters["cells_from_cache"],
-                    "elided": self.counters["cells_elided"],
-                    "dedup_inflight_hits":
-                        self.counters["dedup_inflight_hits"],
-                },
-                "elision": {
-                    "elided_cells": self.counters["cells_elided"],
-                    "representative_runs":
-                        self.counters["representative_runs"],
-                    "fallbacks": self.counters["elision_fallbacks"],
-                },
-                "plan_store": {
-                    "plan_cache_hits": self.counters["plan_cache_hits"],
-                    "plan_cache_misses":
-                        self.counters["plan_cache_misses"],
-                    "golden_store_hits":
-                        self.counters["golden_store_hits"],
-                },
-                "golden": {
-                    "fresh": self.counters["golden_fresh"],
-                    "memo_hits": self.counters["golden_memo_hits"],
-                },
-                "specialize": {
-                    "hits": int(self._session_totals["specialize_hits"]),
-                    "misses":
-                        int(self._session_totals["specialize_misses"]),
-                },
-                "work": {key: int(self._session_totals[key])
-                         for key in _WORK_KEYS},
-                "batches": self.counters["batches"],
-                "chunks": self.counters["chunks"],
-                "chunk_failures": self.counters["chunk_failures"],
-                "pool_exhausted": self.counters["pool_exhausted"],
-                "lost_digests": list(self.lost_digests),
-                "pool": {
-                    "jobs": pool.jobs,
-                    "spinups": pool.spinups,
-                    "broken_recoveries": pool.broken_recoveries,
-                    "tasks_run": pool.tasks_run,
-                },
-            },
-            "sessions": merge_session_metrics(self.cache.root),
-        }
+        pool, counters = self.pool, self.counters
+        server = counter_sections(with_pool_counts(self.totals, pool))
+        server["plans"].update(submitted=counters["plans_submitted"],
+                               completed=counters["plans_completed"],
+                               failed=counters["plans_failed"],
+                               active=len(self._plan_tasks))
+        server["cells"]["requested"] = counters["cells_requested"]
+        server["pool"].update(jobs=pool.jobs,
+                              broken_recoveries=pool.broken_recoveries,
+                              tasks_run=pool.tasks_run)
+        server.update(
+            pid=os.getpid(),
+            uptime_seconds=round(time.time() - self.started_at, 3)
+            if self.started_at else 0.0,
+            draining=self.draining,
+            batches=counters["batches"],
+            chunks=counters["chunks"],
+            chunk_failures=counters["chunk_failures"],
+            pool_exhausted=counters["pool_exhausted"],
+            lost_digests=list(self.lost_digests))
+        return {"server": server,
+                "sessions": merge_session_metrics(self.cache.root)}
 
     # -- HTTP -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ tile grid), its register read/write interface, and its branch unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..core.buffers import SlotBuffer, new_buffer
 from ..core.node import OUT_NULL, InstructionNode, build_node_template
@@ -16,7 +16,6 @@ from ..core.tokens import STATUS_VALUE
 from ..errors import SimulationError
 from ..isa.block import Block
 from ..isa.instruction import Slot
-from .config import MachineConfig
 
 
 def _build_frame_template(block: Block):
@@ -50,13 +49,6 @@ def _build_frame_template(block: Block):
     return (tuple(node_templates), tuple(write_orders), branch_order,
             lsid_to_index, write_index_of_reg)
 
-#: Where a frame's register read gets its value: the architectural file
-#: (with the value captured at map time) or an older in-flight frame's
-#: write slot.
-ReadSource = Union[Tuple[str, int], Tuple[str, int, int]]
-# ("arch", value) | ("frame", source_frame_uid, write_slot_index)
-
-
 @dataclass
 class ReadForward:
     """Latest value broadcast for one read slot."""
@@ -69,12 +61,10 @@ class ReadForward:
 class Frame:
     """One in-flight dynamic block."""
 
-    def __init__(self, uid: int, seq: int, block: Block,
-                 config: MachineConfig):
+    def __init__(self, uid: int, seq: int, block: Block):
         self.uid = uid
         self.seq = seq
         self.block = block
-        self.config = config
 
         template = getattr(block, "_frame_template", None)
         if template is None:
@@ -99,7 +89,6 @@ class Frame:
 
         self.branch_buffer = new_buffer(branch_order)
 
-        self.read_sources: List[ReadSource] = []
         self.read_forwards: List[ReadForward] = [
             ReadForward() for _ in block.reads]
 
@@ -111,7 +100,6 @@ class Frame:
         self.predicted_next: Optional[str] = None
         #: Block name actually fetched after this frame (for redirects).
         self.fetched_next: Optional[str] = None
-        self.mapped_cycle = 0
         #: The block's compiled activation plan (repro.uarch.specialize)
         #: that every send of this frame reads, attached by
         #: ``Processor._map_frame`` on every map — including recycled
@@ -145,14 +133,12 @@ class Frame:
         for subs in self.subscribers:
             subs.clear()
         self.branch_buffer.reset()
-        self.read_sources = []
         for fwd in self.read_forwards:
             fwd.wave = 0
             fwd.value = None
             fwd.final = False
         self.predicted_next = None
         self.fetched_next = None
-        self.mapped_cycle = 0
         self.plan = None
 
     def node_of_lsid(self, lsid: int) -> InstructionNode:

@@ -928,15 +928,10 @@ class Processor:
             # build (and bumps node lives so old heap entries stay dead).
             frame = arena.pop()
             frame.reset_for_reuse(uid, seq)
-            # A shared arena can hand back a frame parked by a previous
-            # machine point of this kernel; rebind its config so the
-            # field stays honest (nothing reads it on the hot path).
-            frame.config = self.config
             self.frames_recycled += 1
         else:
-            frame = Frame(uid, seq, block, self.config)
+            frame = Frame(uid, seq, block)
             self.frames_allocated += 1
-        frame.mapped_cycle = self.cycle
         # Attach the block's plan.  Reassigned on every map: a recycled
         # frame may have been parked by a processor at a different
         # machine point.
@@ -999,9 +994,6 @@ class Processor:
                 if wi is not None:
                     source = (older, wi)
                     break
-            frame.read_sources.append(
-                ("frame", source[0].uid, source[1]) if source
-                else ("arch", self.arch.get_reg(read.reg)))
             if source is None:
                 fwd = frame.read_forwards[ri]
                 fwd.wave, fwd.value, fwd.final = (

@@ -117,11 +117,9 @@ class TestFrameReset:
         processor.run()
         # Any frame that lived through the run is thoroughly dirty.
         block = next(iter(instance.program.blocks.values()))
-        frame = Frame(uid=900, seq=900, block=block, config=config)
+        frame = Frame(uid=900, seq=900, block=block)
         frame.predicted_next = "loop"
         frame.fetched_next = "loop"
-        frame.mapped_cycle = 123
-        frame.read_sources = [("arch", 7)]
         if frame.subscribers:
             frame.subscribers[0].append(901)
         for fwd in frame.read_forwards:
@@ -138,8 +136,6 @@ class TestFrameReset:
         assert frame.uid == 901 and frame.seq == 901
         assert frame.predicted_next is None
         assert frame.fetched_next is None
-        assert frame.mapped_cycle == 0
-        assert frame.read_sources == []
         assert all(s == [] for s in frame.subscribers)
         assert all(f.wave == 0 and f.value is None and not f.final
                    for f in frame.read_forwards)

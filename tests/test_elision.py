@@ -18,9 +18,9 @@ produced the byte-identical record.  This suite is the proof obligation:
   the same plan with ``REPRO_ELIDE=0`` cell for cell;
 * a forced-dirty certificate (``counters.FORCE_DIRTY``) must elide
   nothing, ever;
-* the accounting split (``executed`` / ``elided_cells`` /
-  ``from_cache``, and ``cells_per_sec`` over simulated cells only) must
-  stay exact;
+* the accounting split (``cells_executed`` / ``cells_elided`` /
+  ``cells_from_cache``, and ``cells_per_sec`` over simulated cells only)
+  must stay exact;
 * the persistent block-plan and golden-run stores must round-trip
   through disk to equivalent objects, and recompile over corrupt or
   outdated records.
@@ -36,8 +36,8 @@ from hypothesis import strategies as st
 from repro.harness.cache import ResultCache
 from repro.harness.elide import (AXIS_FIELDS, elision_enabled, elision_key,
                                  pair_invariant, point_class)
-from repro.harness.parallel import (ParallelRunner, execute_cell,
-                                    merge_session_metrics)
+from repro.harness.metrics import merge_session_metrics
+from repro.harness.parallel import ParallelRunner, execute_cell
 from repro.harness.pool import (GOLDEN_STORE_COUNTS, configure_golden_store,
                                 golden_for, reset_golden_memo)
 from repro.harness.runner import STANDARD_POINTS
@@ -279,8 +279,8 @@ class TestBothWaysIdentical:
         monkeypatch.setenv("REPRO_ELIDE", "0")
         with ParallelRunner(jobs=1) as runner:
             off = runner.run_plan(_plan_for_points(instance))
-            assert runner.last_metrics.elided_cells == 0
-            assert runner.last_metrics.executed == len(POINTS)
+            assert runner.last_metrics.cells_elided == 0
+            assert runner.last_metrics.cells_executed == len(POINTS)
         assert [_result_key(r) for r in on] == \
             [_result_key(r) for r in off]
         # Off-mode cells are all genuinely simulated, never forwarded.
@@ -306,9 +306,9 @@ class TestForcedDirty:
             results = runner.run_plan(
                 _plan_for_points(KERNELS["crc"].build_test()))
         metrics = runner.last_metrics
-        assert metrics.elided_cells == 0
-        assert runner.cells_elided == 0
-        assert metrics.executed == len(POINTS)
+        assert metrics.cells_elided == 0
+        assert runner.totals["cells_elided"] == 0
+        assert metrics.cells_executed == len(POINTS)
         # Every multi-member class fell back to per-point simulation.
         assert metrics.elision_fallbacks == 2
         for result in results:
@@ -328,17 +328,17 @@ class TestAccounting:
                 _plan_for_points(KERNELS["crc"].build_test()))
         metrics = runner.last_metrics
         assert metrics.cells == len(POINTS)
-        assert metrics.executed == 3
-        assert metrics.elided_cells == 4
+        assert metrics.cells_executed == 3
+        assert metrics.cells_elided == 4
         assert metrics.representative_runs == 2
         assert metrics.elision_fallbacks == 0
-        assert metrics.from_cache == 0
-        assert (metrics.executed + metrics.elided_cells
-                + metrics.from_cache == metrics.cells)
+        assert metrics.cells_from_cache == 0
+        assert (metrics.cells_executed + metrics.cells_elided
+                + metrics.cells_from_cache == metrics.cells)
         assert metrics.cells_per_sec == pytest.approx(
-            metrics.executed / metrics.wall_seconds)
-        assert runner.cells_executed == 3
-        assert runner.cells_elided == 4
+            metrics.cells_executed / metrics.wall_seconds)
+        assert runner.totals["cells_executed"] == 3
+        assert runner.totals["cells_elided"] == 4
         assert sum(1 for r in results if r.forwarded_from) == 4
 
     def test_dirty_kernel_pays_full_price(self):
@@ -347,8 +347,8 @@ class TestAccounting:
         with ParallelRunner(jobs=1) as runner:
             runner.run_plan(_plan_for_points(KERNELS["stencil"].build_test()))
         metrics = runner.last_metrics
-        assert metrics.executed == len(POINTS)
-        assert metrics.elided_cells == 0
+        assert metrics.cells_executed == len(POINTS)
+        assert metrics.cells_elided == 0
         assert metrics.representative_runs == 0
         assert metrics.elision_fallbacks == 2
 
@@ -362,8 +362,8 @@ class TestAccounting:
             results = runner.run_plan(
                 _plan_for_points(KERNELS["vecsum"].build_test()))
         metrics = runner.last_metrics
-        assert metrics.executed == 5
-        assert metrics.elided_cells == 2
+        assert metrics.cells_executed == 5
+        assert metrics.cells_elided == 2
         assert metrics.representative_runs == 2
         assert metrics.elision_fallbacks == 1
         forwarded = {r.point for r in results if r.forwarded_from}
@@ -379,8 +379,8 @@ class TestAccounting:
                 plan.add(instance, point)
         with ParallelRunner(jobs=2) as runner:
             pooled = runner.run_plan(plan)
-            assert runner.last_metrics.elided_cells == 8
-            assert runner.last_metrics.executed == 6
+            assert runner.last_metrics.cells_elided == 8
+            assert runner.last_metrics.cells_executed == 6
         plan2 = SweepPlan()
         for name in ("crc", "dotprod"):
             instance = KERNELS[name].build_test()
@@ -437,9 +437,9 @@ class TestForwardedRecordsAreFirstClass:
         # CI gate ("0 simulated") holds with elision on.
         with ParallelRunner(jobs=1, cache=ResultCache(root)) as warm:
             warm.run_plan(_plan_for_points(instance))
-            assert warm.cells_executed == 0
-            assert warm.cells_elided == 0
-            assert warm.cells_from_cache == len(POINTS)
+            assert warm.totals["cells_executed"] == 0
+            assert warm.totals["cells_elided"] == 0
+            assert warm.totals["cells_from_cache"] == len(POINTS)
 
 
 class TestPlanStoreRoundTrip:

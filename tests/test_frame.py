@@ -24,8 +24,7 @@ def build_block():
 
 @pytest.fixture
 def frame():
-    return Frame(uid=7, seq=3, block=build_block(),
-                 config=default_config())
+    return Frame(uid=7, seq=3, block=build_block())
 
 
 class TestConstruction:

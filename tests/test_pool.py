@@ -17,7 +17,7 @@ from repro.harness import (ParallelRunner, PoolExhaustedError, ResultCache,
                            SweepPlan, WorkerPool, golden_for,
                            reset_golden_memo, run_cell_chunk)
 from repro.harness import parallel
-from repro.harness.parallel import merge_session_metrics, session_shard_path
+from repro.harness.metrics import merge_session_metrics, session_shard_path
 from repro.workloads import KERNELS
 
 
@@ -269,9 +269,9 @@ class TestGoldenMemo:
         for point in ("dsre", "aggressive", "conservative"):
             plan.add(inst, point)
         payload = run_cell_chunk(list(enumerate(plan.cells)))
-        assert payload["golden_fresh"] == 1
-        assert payload["golden_hits"] == 2
-        assert payload["elided"] == 0
+        assert payload["counts"]["golden_fresh_runs"] == 1
+        assert payload["counts"]["golden_memo_hits"] == 2
+        assert payload["counts"]["cells_elided"] == 0
         assert len(payload["records"]) == 3
 
 
@@ -342,7 +342,7 @@ class TestRunnerPooling:
         assert all(r.from_cache for r in results)
         assert warm.pool is None
         m = warm.last_metrics
-        assert m.executed == 0 and m.from_cache == len(results)
+        assert m.cells_executed == 0 and m.cells_from_cache == len(results)
         assert m.kernels_executed == 0
 
     def test_session_metrics_shard_written(self, tmp_path):

@@ -101,11 +101,11 @@ class TestCrashResume:
             table = e9_corpus_ordering(runner=runner,
                                        **PLAN_ARGS).render()
         total = _plan_size()
-        assert runner.cells_from_cache == KILL_AFTER
+        assert runner.totals["cells_from_cache"] == KILL_AFTER
         # Remaining cells were either simulated or served by cross-point
         # elision (a clean representative forwarded to its siblings) —
         # both count as completed work, neither re-executes cached cells.
-        assert (runner.cells_executed + runner.cells_elided
+        assert (runner.totals["cells_executed"] + runner.totals["cells_elided"]
                 == total - KILL_AFTER)
 
         # Journal-verified: across both runs no cell executed twice.
@@ -275,8 +275,8 @@ class TestPooledStreaming:
                                        **POOLED_ARGS).render()
         plan, _ = corpus_plan(**POOLED_ARGS)
         total = len(list(plan))
-        assert runner.cells_from_cache == POOLED_KILL_AFTER
-        assert (runner.cells_executed + runner.cells_elided
+        assert runner.totals["cells_from_cache"] == POOLED_KILL_AFTER
+        assert (runner.totals["cells_executed"] + runner.totals["cells_elided"]
                 == total - POOLED_KILL_AFTER)
 
         after = journal.summary()
@@ -349,6 +349,6 @@ class TestShardedFill:
                             cache=ResultCache(roots[0])) as runner:
             table = e9_corpus_ordering(runner=runner,
                                        **PLAN_ARGS).render()
-        assert runner.cells_executed == 0
-        assert runner.cells_from_cache == total
+        assert runner.totals["cells_executed"] == 0
+        assert runner.totals["cells_from_cache"] == total
         assert table == _fresh_table()

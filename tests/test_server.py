@@ -17,10 +17,10 @@ import time
 
 import pytest
 
-from repro.harness import (ParallelRunner, ServerConfig, ServerError,
-                           SweepClient, SweepServer)
+from repro.harness import (ParallelRunner, ResultCache, ServerConfig,
+                           ServerError, SweepClient, SweepServer)
 from repro.harness.experiments import e1_main, e9_corpus_ordering
-from repro.harness.parallel import session_shard_files
+from repro.harness.metrics import session_shard_files, session_shard_path
 from repro.harness.server import expand_grid, render_grid_table
 
 GRID = {"kernels": ["queue"], "points": ["dsre", "aggressive"],
@@ -118,8 +118,8 @@ class TestPlanExecution:
         harness.client.run(GRID, timeout=120)
         plan_id = harness.client.submit(GRID)
         status = harness.client.wait(plan_id, timeout=120)
-        assert status["metrics"]["from_cache"] == 2
-        assert status["metrics"]["executed"] == 0
+        assert status["metrics"]["cells_from_cache"] == 2
+        assert status["metrics"]["cells_executed"] == 0
         assert status["cells"].get("cached") == 2
 
     def test_tenant_labels_the_plan(self, harness):
@@ -148,16 +148,82 @@ class TestDedup:
             second = h.client.submit(GRID)
             status_1 = h.client.wait(first, timeout=120)
             status_2 = h.client.wait(second, timeout=120)
-            cells = h.client.metrics()["server"]["cells"]
+            server = h.client.metrics()["server"]
+            cells = server["cells"]
             assert cells["requested"] == 4
             assert cells["executed"] == 2           # not 4
             assert cells["dedup_inflight_hits"] == 2
-            hits = (status_1["metrics"]["inflight_dedup_hits"]
-                    + status_2["metrics"]["inflight_dedup_hits"])
-            assert hits == 2
+            plans = [status_1["metrics"], status_2["metrics"]]
+            assert sum(m["dedup_inflight_hits"] for m in plans) == 2
+            # Each plan's buckets partition its cells.
+            for m in plans:
+                assert (m["cells_executed"] + m["cells_elided"]
+                        + m["cells_from_cache"] + m["dedup_inflight_hits"]
+                        == m["cells"] == 2)
             assert h.client.table(first) == h.client.table(second)
+            # The shared cells' work is counted once: the server's
+            # totals equal the sums over the records it stored.
+            records = []
+            for path in ResultCache(h.server.cache.root).entries():
+                with open(path) as fh:
+                    records.append(json.load(fh))
+            assert len(records) == 2
+            assert not any(r.get("forwarded_from") for r in records)
+            stats = [r["result"]["stats"] for r in records]
+            assert server["work"]["fu_work_issued"] == sum(
+                s["fu_work_issued"] for s in stats)
+            assert server["specialize"]["hits"] == sum(
+                s["specialize_hits"] for s in stats)
         finally:
             h.stop()
+        # The drained server's shard agrees with its /metrics.
+        with open(session_shard_path(h.server.cache.root)) as fh:
+            assert json.load(fh)["cells_executed"] == cells["executed"]
+
+    def test_running_and_failed_plans_are_counted(self, tmp_path):
+        # Two kernels, so two chunks: the first chunk to reach the pool
+        # fails, the other executes, and the plan fails.
+        h = ServerHarness(tmp_path)
+        run, release, lock, failed = (h.server.pool.run, threading.Event(),
+                                      threading.Lock(), [])
+
+        def run_or_fail(fn, tasks, labels=None):
+            release.wait(60)
+            with lock:
+                fail = not failed
+                failed.append(fail)
+            if fail:
+                raise RuntimeError("chunk lost")
+            return run(fn, tasks, labels=labels)
+
+        h.server.pool.run = run_or_fail
+        try:
+            plan = h.client.submit({"kernels": ["queue", "vecsum"],
+                                    "points": ["dsre", "aggressive"],
+                                    "fast": True})
+            # A running plan's cells are requested before any executes.
+            deadline = time.monotonic() + 30
+            while (h.client.metrics()["server"]["cells"]["requested"] != 4
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            cells = h.client.metrics()["server"]["cells"]
+            assert cells["requested"] == 4 and cells["executed"] == 0
+            release.set()
+            assert h.client.wait(plan, timeout=120)["state"] == "failed"
+            deadline = time.monotonic() + 30
+            while (len(failed) < 2 or h.server._work_tasks) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            server = h.client.metrics()["server"]
+        finally:
+            h.stop()
+        cells = server["cells"]
+        assert server["plans"]["failed"] == 1
+        assert server["chunk_failures"] == 1
+        assert cells["requested"] == 4
+        # The surviving chunk's cells count; the lost chunk's do not.
+        assert (cells["executed"] + cells["elided"] + cells["from_cache"]
+                + cells["dedup_inflight_hits"] == 2)
 
 
 class TestDrain:

@@ -25,8 +25,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import ParallelRunner, ResultCache, SweepPlan, cache_key
-from repro.harness.parallel import (merge_session_metrics,
-                                    session_shard_files)
+from repro.harness.metrics import merge_session_metrics, session_shard_files
 from repro.uarch.config import MachineConfig
 from repro.workloads import KERNELS
 

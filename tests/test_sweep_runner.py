@@ -53,7 +53,7 @@ class TestCacheHitMiss:
         warm = ParallelRunner(jobs=1, cache=cache)
         second = warm.run_plan(two_point_plan())
         assert all(r.from_cache for r in second)
-        assert warm.cells_executed == 0
+        assert warm.totals["cells_executed"] == 0
         assert stats_of(first) == stats_of(second)
 
     def test_cache_disabled_always_executes(self):
@@ -176,7 +176,7 @@ class TestDeterminism:
         results = runner.run_plan(two_point_plan())
         assert runner.merged_stats.cycles == \
             sum(r.stats.cycles for r in results)
-        assert runner.cells_executed == 2
+        assert runner.totals["cells_executed"] == 2
 
     def test_fill_reports_the_cycles_a_render_reports(self, cache):
         # fill_plan and run_plan summarize the same cells the same way,
