@@ -261,28 +261,6 @@ class ResultCache:
                 found.append(path)
         return found
 
-    def _store_dir_stats(self, name: str) -> Dict[str, int]:
-        """Entry/byte totals for a sibling persistent store directory
-        (``blockplans/`` compiled plans, ``golden/`` golden runs)."""
-        entries = 0
-        total_bytes = 0
-        root = os.path.join(self.root, name)
-        if os.path.isdir(root):
-            for shard in _listdir(root):
-                shard_dir = os.path.join(root, shard)
-                if not os.path.isdir(shard_dir):
-                    continue
-                for entry in _listdir(shard_dir):
-                    if ".tmp." in entry:
-                        continue
-                    try:
-                        total_bytes += os.path.getsize(
-                            os.path.join(shard_dir, entry))
-                        entries += 1
-                    except OSError:
-                        pass
-        return {"entries": entries, "bytes": total_bytes}
-
     def stats(self) -> Dict[str, object]:
         """On-disk totals (for ``cli cache stats``)."""
         paths = self.entries()
@@ -310,8 +288,6 @@ class ResultCache:
             "stale_or_corrupt": stale,
             "orphan_tmp": len(self.orphan_tmp_files()),
             "per_kernel": dict(sorted(per_kernel.items())),
-            "blockplans": self._store_dir_stats("blockplans"),
-            "golden_store": self._store_dir_stats("golden"),
         }
 
     def clear(self, tmp_age: float = TMP_REAP_AGE) -> int:
@@ -320,15 +296,8 @@ class ResultCache:
         Also reaps orphaned ``*.tmp.*`` writer files older than
         ``tmp_age`` seconds (younger ones are left alone: they may
         belong to a concurrent writer that is about to ``os.replace``
-        them into place) and drops the sibling persistent stores
-        (``blockplans/``, ``golden/``) — a cleared root must be genuinely
-        cold, not quietly warm from derived artifacts.
+        them into place).
         """
-        import shutil
-        for store in ("blockplans", "golden"):
-            store_dir = os.path.join(self.root, store)
-            if os.path.isdir(store_dir):
-                shutil.rmtree(store_dir, ignore_errors=True)
         removed = 0
         for path in self.entries():
             try:

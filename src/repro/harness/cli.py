@@ -25,31 +25,15 @@ combination of ``--jobs`` and cache state.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List
 
 from .cache import ResultCache
-from .experiments import EXPERIMENTS, table_t1
+from .experiments import EXPERIMENTS, run_experiment
 from .metrics import merge_session_metrics, session_lines
 from .parallel import ParallelRunner
-
-
-def _run_one(name: str, fast: bool, runner: ParallelRunner,
-             kernels: Optional[List[str]],
-             sample: Optional[int] = None) -> str:
-    func = EXPERIMENTS[name]
-    if func is table_t1:
-        return table_t1().render()
-    kwargs = {"fast": fast, "runner": runner}
-    params = inspect.signature(func).parameters
-    if kernels and "kernels" in params:
-        kwargs["kernels"] = kernels
-    if sample is not None and "sample" in params:
-        kwargs["sample"] = sample
-    return func(**kwargs).render()
 
 
 def _cache_command(args: List[str], root: str) -> int:
@@ -67,12 +51,6 @@ def _cache_command(args: List[str], root: str) -> int:
                   f"(reaped by 'cache clear' when aged)")
         for kernel, count in stats["per_kernel"].items():
             print(f"  {kernel:12s} {count}")
-        for label, section in (("plan store", "blockplans"),
-                               ("golden store", "golden_store")):
-            info = stats.get(section, {})
-            if info.get("entries"):
-                print(f"{label:16s}{info['entries']} entries, "
-                      f"{info['bytes'] / 1024.0:.1f} KiB")
         # The session counters, merged across every process that ever
         # wrote a ``session.<pid>.json`` shard here.
         merged = merge_session_metrics(root)
@@ -307,8 +285,8 @@ def main(argv: List[str] = None) -> int:
     try:
         for name in wanted:
             start = time.time()
-            print(_run_one(name, fast=not args.full, runner=runner,
-                           kernels=kernels, sample=args.corpus_sample))
+            print(run_experiment(name, not args.full, runner, kernels,
+                                 args.corpus_sample))
             print(f"[{name} regenerated in {time.time() - start:.1f}s]\n")
     finally:
         runner.close()

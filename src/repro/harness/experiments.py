@@ -18,6 +18,7 @@ byte-identical to any parallel/cached run.
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..stats.counters import merge_stats
@@ -608,3 +609,24 @@ EXPERIMENTS = {
     "e9": e9_corpus_ordering,
     "e10": e10_squash_work,
 }
+
+
+def run_experiment(name: str, fast: bool, runner: ParallelRunner,
+                   kernels: Optional[Sequence[str]] = None,
+                   sample: Optional[int] = None) -> str:
+    """Render experiment ``name``'s table: the one dispatcher behind the
+    CLI and the sweep server, so both print the same bytes.
+
+    ``kernels`` and ``sample`` reach only the experiments whose
+    signature takes them; T1 simulates nothing and takes neither.
+    """
+    func = EXPERIMENTS[name]
+    if func is table_t1:
+        return table_t1().render()
+    kwargs = {"fast": fast, "runner": runner}
+    params = inspect.signature(func).parameters
+    if kernels and "kernels" in params:
+        kwargs["kernels"] = kernels
+    if sample is not None and "sample" in params:
+        kwargs["sample"] = sample
+    return func(**kwargs).render()

@@ -15,8 +15,7 @@ Where a counter is counted:
   summing the SimStats field of the same name over executed cells
   (a forwarded record replays its representative's counters, and a
   cached record describes whichever run produced it);
-* ``CHUNK`` — by the chunk body itself: cells, golden runs, elision and
-  the persistent stores;
+* ``CHUNK`` — by the chunk body itself: cells, golden runs and elision;
 * ``PLAN`` — by the runner, once per plan;
 * ``POOL`` — by the :class:`~repro.harness.pool.WorkerPool`, read from
   the attribute named by the counter's label.
@@ -62,9 +61,6 @@ COUNTERS = (
     Counter("specialize_misses", CELL, "specialize", "misses"),
     Counter("representative_runs", CHUNK, "elision", "representative_runs"),
     Counter("elision_fallbacks", CHUNK, "elision", "fallbacks"),
-    Counter("plan_cache_hits", CHUNK, "plan_store", "plan_cache_hits"),
-    Counter("plan_cache_misses", CHUNK, "plan_store", "plan_cache_misses"),
-    Counter("golden_store_hits", CHUNK, "plan_store", "golden_store_hits"),
     Counter("fu_work_issued", CELL, "work", "fu_work_issued"),
     Counter("fu_work_committed", CELL, "work", "fu_work_committed"),
     Counter("squashed_executions", CELL, "work", "squashed_executions"),

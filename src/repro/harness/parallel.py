@@ -45,15 +45,13 @@ from ..uarch.lsq import LsqStats
 from ..uarch.network import NetworkStats
 from ..uarch.predictor import PredictorStats
 from ..uarch.processor import Processor, SimResult
-from ..uarch.specialize import PLAN_STORE_COUNTS, configure_plan_store
 from ..workloads.common import KernelInstance
 from .cache import SCHEMA_VERSION, ResultCache, cache_key
 from .elide import elide_pairs
 from .journal import PlanJournal, plan_digest
 from .metrics import (SweepMetrics, add_counts, count_cell, new_counts,
                       with_pool_counts, write_session_shard)
-from .pool import (GOLDEN_STORE_COUNTS, WorkerPool, configure_golden_store,
-                   golden_for, identity_digests, run_cell_chunk)
+from .pool import WorkerPool, golden_for, identity_digests, run_cell_chunk
 from .runner import POINT_ORDER
 from .sweep import SweepCell, SweepPlan
 
@@ -225,13 +223,10 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
     frames to the next through one arena, and cross-point elision
     forwards clean representatives to their siblings.  Adds the
     ``CELL`` and ``CHUNK`` counters (repro.harness.metrics) to
-    ``counts``; the store counters once the items are exhausted.
+    ``counts``.
     """
     arenas: Dict[int, dict] = {}
     kernels = set()
-    plan_hits, plan_misses = PLAN_STORE_COUNTS["hits"], \
-        PLAN_STORE_COUNTS["misses"]
-    golden_store_hits = GOLDEN_STORE_COUNTS["hits"]
 
     def execute(cell, config, digest):
         golden, fresh = golden_for(cell.instance, digest)
@@ -249,10 +244,6 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
         count_cell(counts, record)
         yield index, record
     counts["kernels_executed"] += len(kernels)
-    counts["plan_cache_hits"] += PLAN_STORE_COUNTS["hits"] - plan_hits
-    counts["plan_cache_misses"] += PLAN_STORE_COUNTS["misses"] - plan_misses
-    counts["golden_store_hits"] += \
-        GOLDEN_STORE_COUNTS["hits"] - golden_store_hits
 
 
 def result_from_record(record: dict, from_cache: bool) -> CellResult:
@@ -320,12 +311,6 @@ class ParallelRunner:
                              "lives in the cache root)")
         #: The journal of the most recent run_plan/fill_plan call.
         self.last_journal: Optional[PlanJournal] = None
-        # Attach the persistent plan/golden stores to the cache root
-        # *before* any pool forks, so workers inherit the roots — and
-        # detach them when this runner has no cache, so an uncached
-        # session never reads a previous session's stores.
-        configure_plan_store(cache.root if cache is not None else None)
-        configure_golden_store(cache.root if cache is not None else None)
         #: Counters merged across every cell this runner has produced
         #: (cached or fresh) — the whole-session aggregate.
         self.merged_stats = SimStats()
@@ -333,9 +318,11 @@ class ParallelRunner:
         #: (repro.harness.metrics), summed plan by plan; the ``POOL``
         #: counters stay zero here and are read from the pool.
         self.totals: Dict[str, int] = new_counts()
-        #: The same totals under the name perfbench reads the
-        #: persistent-store counters from.
-        self.planstore_totals = self.totals
+        #: Always zero: the on-disk stores these counted are gone.
+        self.planstore_totals = {
+            "golden_store_hits": 0,     # read by perfbench/workloads.py
+            "plan_cache_hits": 0,       # read by perfbench/workloads.py
+        }
         self.wall_seconds = 0.0
         #: The persistent pool; created lazily on the first plan that
         #: needs one, then reused until :meth:`close`.

@@ -30,9 +30,7 @@ scattered back into plan order, so tables stay byte-identical for every
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -74,64 +72,6 @@ _GOLDEN_MEMO: "OrderedDict[str, Tuple[ExecutionTrace, ArchState]]" = \
 #: programs.
 _GOLDEN_MEMO_CAP = 64
 
-# ----------------------------------------------------------------------
-# Persistent golden store (under the result-cache root, like blockplans)
-# ----------------------------------------------------------------------
-
-#: ``<cache root>/golden`` or None; set by :func:`configure_golden_store`
-#: before the pool forks, so workers inherit it.
-_GOLDEN_STORE_ROOT: Optional[str] = None
-
-#: Pickle schema marker; bump on layout changes.
-_GOLDEN_STORE_SCHEMA = "repro-golden/v1"
-
-#: Golden (trace, state) pairs served from disk instead of a fresh
-#: interpreter run, this process.
-GOLDEN_STORE_COUNTS: Dict[str, int] = {"hits": 0}
-
-
-def configure_golden_store(root: Optional[str]) -> None:
-    """Attach (or detach) the persistent golden-run store."""
-    global _GOLDEN_STORE_ROOT
-    _GOLDEN_STORE_ROOT = os.path.join(root, "golden") if root else None
-
-
-def _golden_path(digest: str) -> str:
-    name = hashlib.sha256(
-        f"{_GOLDEN_STORE_SCHEMA}\n{digest}".encode("utf-8")).hexdigest()
-    return os.path.join(_GOLDEN_STORE_ROOT, name[:2], name + ".pkl")
-
-
-def _golden_from_disk(digest: str):
-    if _GOLDEN_STORE_ROOT is None:
-        return None
-    try:
-        with open(_golden_path(digest), "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if (not isinstance(payload, tuple) or len(payload) != 3
-            or payload[0] != _GOLDEN_STORE_SCHEMA):
-        return None
-    return payload[1], payload[2]
-
-
-def _golden_to_disk(digest: str,
-                    golden: Tuple[ExecutionTrace, ArchState]) -> None:
-    """Best-effort write-through (atomic tmp+replace)."""
-    if _GOLDEN_STORE_ROOT is None:
-        return
-    path = _golden_path(digest)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump((_GOLDEN_STORE_SCHEMA, golden[0], golden[1]), fh)
-        os.replace(tmp, path)
-    except (OSError, pickle.PicklingError):
-        pass
-
 
 def golden_for(instance, digest: Optional[str] = None,
                ) -> Tuple[Tuple[ExecutionTrace, ArchState], bool]:
@@ -153,20 +93,10 @@ def golden_for(instance, digest: Optional[str] = None,
     if golden is not None:
         memo.move_to_end(digest)
         return golden, False
-    golden = _golden_from_disk(digest)
-    if golden is not None:
-        # Served by the persistent store: no interpreter run was paid,
-        # so this is *not* fresh — golden_runs_per_kernel only drops.
-        GOLDEN_STORE_COUNTS["hits"] += 1
-        memo[digest] = golden
-        while len(memo) > _GOLDEN_MEMO_CAP:
-            memo.popitem(last=False)
-        return golden, False
     golden = run_program(instance.program, instance.initial_regs)
     memo[digest] = golden
     while len(memo) > _GOLDEN_MEMO_CAP:
         memo.popitem(last=False)
-    _golden_to_disk(digest, golden)
     return golden, True
 
 
@@ -190,15 +120,8 @@ def identity_digests(cells: Sequence) -> List[str]:
 
 
 def reset_golden_memo() -> None:
-    """Drop every memoised golden run (tests and cold benchmarks).
-
-    Also detaches the persistent golden store: it is just another memo
-    tier, and a "cold" measurement that silently read golden runs from a
-    previous session's disk store would not be cold.  A runner with a
-    cache re-attaches the store when it is constructed.
-    """
+    """Drop every memoised golden run (tests and cold benchmarks)."""
     _GOLDEN_MEMO.clear()
-    configure_golden_store(None)
 
 
 def run_cell_chunk(chunk: Sequence) -> dict:

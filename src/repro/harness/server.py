@@ -34,7 +34,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import os
@@ -48,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..stats.report import Table
 from ..workloads.registry import KERNELS
 from .cache import ResultCache, cache_key
-from .experiments import EXPERIMENTS, table_t1
+from .experiments import EXPERIMENTS, run_experiment
 from .metrics import (add_counts, count_cell, counter_sections,
                       merge_session_metrics, new_counts, with_pool_counts,
                       write_session_shard)
@@ -492,7 +491,9 @@ class SweepServer:
         request = job.request
         try:
             if "experiment" in request:
-                text = self._run_experiment(runner, request)
+                text = run_experiment(
+                    request["experiment"], bool(request.get("fast", True)),
+                    runner, request.get("kernels"), request.get("sample"))
             else:
                 results = runner.run_plan(expand_grid(request))
                 text = render_grid_table(results)
@@ -500,22 +501,6 @@ class SweepServer:
             if runner.last_metrics is not None:
                 job.metrics = runner.last_metrics.as_dict()
         return text
-
-    @staticmethod
-    def _run_experiment(runner: ParallelRunner, request: dict) -> str:
-        func = EXPERIMENTS[request["experiment"]]
-        if func is table_t1:
-            return table_t1().render()
-        kwargs = {"fast": bool(request.get("fast", True)),
-                  "runner": runner}
-        params = inspect.signature(func).parameters
-        kernels = request.get("kernels")
-        if kernels and "kernels" in params:
-            kwargs["kernels"] = list(kernels)
-        sample = request.get("sample")
-        if sample is not None and "sample" in params:
-            kwargs["sample"] = int(sample)
-        return func(**kwargs).render()
 
     def _count_request(self, cells: int, from_cache: int) -> None:
         """Count a plan's cells as it starts executing, so a plan that
@@ -648,6 +633,11 @@ class SweepServer:
         server["pool"].update(jobs=pool.jobs,
                               broken_recoveries=pool.broken_recoveries,
                               tasks_run=pool.tasks_run)
+        # The deleted on-disk plan and golden stores' hit counts.
+        server["plan_store"] = {
+            "golden_store_hits": 0,     # read by perfbench/workloads.py
+            "plan_cache_hits": 0,       # read by perfbench/workloads.py
+        }
         server.update(
             pid=os.getpid(),
             uptime_seconds=round(time.time() - self.started_at, 3)

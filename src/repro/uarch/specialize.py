@@ -44,11 +44,8 @@ out of range), and ``Processor`` validates the program it runs.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from ..isa.opcodes import op_info
 from ..isa.instruction import TargetKind
@@ -62,125 +59,6 @@ PLAN_CACHE_CAP = 8
 #: Delivery-hook kind name of each flat entry code.
 FLAT_KIND_NAMES = ("TOKEN", "TOKEN", "TOKEN", "LOAD_REQ", "STORE_UPD",
                    "LOAD_RESP", "REG_FWD")
-
-
-# ----------------------------------------------------------------------
-# Persistent plan store (content-addressed, under the result-cache root)
-# ----------------------------------------------------------------------
-
-#: Root of the persistent plan store (``<cache root>/blockplans``), or
-#: None when no cache is attached.  Set by :func:`configure_plan_store`
-#: before the worker pool forks, so workers inherit it.
-_STORE_ROOT: Optional[str] = None
-
-#: Record schema; bump on any change to the serialized plan layout.
-_STORE_SCHEMA = "repro-blockplan/v1"
-
-#: Plan-store activity for this process: ``hits`` are plans loaded from
-#: disk instead of compiled, ``misses`` are cold compilations that were
-#: written through.  Distinct from the SimStats ``specialize_*``
-#: counters, which stay deterministic per run — a store-loaded plan
-#: still reports ``compiled=True`` from :func:`plan_for`.
-PLAN_STORE_COUNTS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def configure_plan_store(root: Optional[str]) -> None:
-    """Attach (or detach, with ``None``) the persistent plan store.
-
-    ``root`` is the result-cache root; plans live under
-    ``<root>/blockplans/`` — a non-hex-pair directory name, so the
-    result cache's shard accounting never sees it (the same convention
-    as ``plans/`` journals).
-    """
-    global _STORE_ROOT
-    _STORE_ROOT = os.path.join(root, "blockplans") if root else None
-
-
-def _block_digest(block) -> str:
-    """Canonical content digest of one block (cached on the block)."""
-    digest = getattr(block, "_plan_digest", None)
-    if digest is None:
-        from ..isa.encoding import _encode_block, _StringTable
-        digest = hashlib.sha256(
-            _encode_block(block, _StringTable())).hexdigest()
-        block._plan_digest = digest
-    return digest
-
-
-def _store_path(block, key: Tuple) -> str:
-    """Content address: (schema, block digest, machine-point key)."""
-    payload = "\n".join((_STORE_SCHEMA, _block_digest(block),
-                         json.dumps(key, sort_keys=True)))
-    name = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return os.path.join(_STORE_ROOT, name[:2], name + ".json")
-
-
-def _freeze(value):
-    """Recursively rebuild JSON arrays as tuples (coords must be
-    hashable tuples, and plans are immutable by contract)."""
-    if isinstance(value, list):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-def _load_persisted(block, key: Tuple) -> Optional[BlockPlan]:
-    """The stored plan, or ``None`` when absent, unreadable, or
-    shape-mismatched — including the ``declined`` records that older
-    simulators wrote; the caller recompiles over all of them."""
-    path = _store_path(block, key)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(data, dict) or data.get("schema") != _STORE_SCHEMA:
-        return None
-    try:
-        sends = _freeze(data["sends"])
-        reads = _freeze(data["reads"])
-        branch_deltas = tuple(data["branch_deltas"])
-        lsq_deltas = tuple(data["lsq_deltas"])
-        latencies = tuple(data["latencies"])
-    except (KeyError, TypeError):
-        return None
-    n = len(block.instructions)
-    if (len(sends) != n or len(branch_deltas) != n or len(lsq_deltas) != n
-            or len(latencies) != n or len(reads) != len(block.reads)):
-        # A digest collision cannot do this, but a hand-edited or
-        # truncated record could: treat as a miss and recompile over it.
-        return None
-    return BlockPlan(
-        sends=sends,
-        reads=reads,
-        read_keys=tuple(("read", ri) for ri in range(len(block.reads))),
-        branch_deltas=branch_deltas,
-        lsq_deltas=lsq_deltas,
-        latencies=latencies,
-        latency_by_id={id(inst): lat
-                       for inst, lat in zip(block.instructions, latencies)},
-    )
-
-
-def _persist(block, key: Tuple, plan: BlockPlan) -> None:
-    """Write one compiled plan through to disk.
-
-    Atomic tmp+replace and best-effort: a full disk or permission error
-    must never fail a simulation.
-    """
-    path = _store_path(block, key)
-    data = {"schema": _STORE_SCHEMA, "sends": plan.sends,
-            "reads": plan.reads, "branch_deltas": plan.branch_deltas,
-            "lsq_deltas": plan.lsq_deltas, "latencies": plan.latencies}
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + f".tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # dumps, not dump: the same bytes, from the C encoder, in
-            # one write.
-            fh.write(json.dumps(data))
-        os.replace(tmp, path)
-    except OSError:
-        pass
 
 
 def machine_point_key(config) -> Tuple:
@@ -297,10 +175,11 @@ def plan_for(block, key: Tuple, config) -> Tuple[BlockPlan, bool]:
     """Fetch (or compile) the plan for ``(block, key)``.
 
     Returns ``(plan, compiled)``: ``compiled`` is True when this call
-    paid a compilation (or a plan-store load) rather than hitting the
-    block's LRU cache.  The cache lives on the block object itself — next
-    to ``_frame_template`` and with the same lifetime — bounded at
-    :data:`PLAN_CACHE_CAP` entries with least-recently-used eviction.
+    paid a compilation rather than hitting the block's LRU cache.  The
+    cache lives on the block object itself — next to ``_frame_template``
+    and with the same lifetime, so ``Block.invalidate_caches`` drops it
+    — bounded at :data:`PLAN_CACHE_CAP` entries with least-recently-used
+    eviction.
     """
     cache = getattr(block, "_plan_cache", None)
     if cache is None:
@@ -309,20 +188,7 @@ def plan_for(block, key: Tuple, config) -> Tuple[BlockPlan, bool]:
     if plan is not None:
         cache.move_to_end(key)
         return plan, False
-    persistent = _STORE_ROOT is not None
-    if persistent:
-        # Persistent probe on an LRU miss.  A disk hit still returns
-        # ``compiled=True``: the SimStats ``specialize_misses`` counter
-        # means "this run's cold plan resolutions" and must stay
-        # deterministic regardless of shared-store warmth.
-        plan = _load_persisted(block, key)
-    if plan is not None:
-        PLAN_STORE_COUNTS["hits"] += 1
-    else:
-        plan = compile_plan(block, config)
-        if persistent:
-            PLAN_STORE_COUNTS["misses"] += 1
-            _persist(block, key, plan)
+    plan = compile_plan(block, config)
     cache[key] = plan
     if len(cache) > PLAN_CACHE_CAP:
         cache.popitem(last=False)

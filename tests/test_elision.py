@@ -1,4 +1,4 @@
-"""Cross-point elision soundness gate and persistent-store round trips.
+"""Cross-point elision soundness gate.
 
 The elision layer (repro.harness.elide) may forward one clean
 representative's record to sibling machine points **only** when that is
@@ -20,14 +20,10 @@ produced the byte-identical record.  This suite is the proof obligation:
   nothing, ever;
 * the accounting split (``cells_executed`` / ``cells_elided`` /
   ``cells_from_cache``, and ``cells_per_sec`` over simulated cells only)
-  must stay exact;
-* the persistent block-plan and golden-run stores must round-trip
-  through disk to equivalent objects, and recompile over corrupt or
-  outdated records.
+  must stay exact.
 """
 
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,14 +34,9 @@ from repro.harness.elide import (AXIS_FIELDS, elision_enabled, elision_key,
                                  pair_invariant, point_class)
 from repro.harness.metrics import merge_session_metrics
 from repro.harness.parallel import ParallelRunner, execute_cell
-from repro.harness.pool import (GOLDEN_STORE_COUNTS, configure_golden_store,
-                                golden_for, reset_golden_memo)
 from repro.harness.runner import STANDARD_POINTS
 from repro.harness.sweep import SweepPlan
 from repro.stats import counters
-from repro.uarch.config import default_config
-from repro.uarch.specialize import (PLAN_STORE_COUNTS, configure_plan_store,
-                                    machine_point_key, plan_for)
 from repro.workloads import KERNELS
 from repro.workloads.corpus import (MAX_OPS_PER_BLOCK, SHAPES, CorpusParams,
                                     build_corpus, sample_corpus)
@@ -440,125 +431,3 @@ class TestForwardedRecordsAreFirstClass:
             assert warm.totals["cells_executed"] == 0
             assert warm.totals["cells_elided"] == 0
             assert warm.totals["cells_from_cache"] == len(POINTS)
-
-
-class TestPlanStoreRoundTrip:
-    def _block(self):
-        instance = KERNELS["vecsum"].build_test()
-        return instance, next(iter(instance.program.blocks.values()))
-
-    def test_round_trip_and_hit_counting(self, tmp_path):
-        _, block = self._block()
-        block._plan_cache = None
-        configure_plan_store(str(tmp_path))
-        try:
-            config = default_config()
-            key = machine_point_key(config)
-            hits0, misses0 = (PLAN_STORE_COUNTS["hits"],
-                              PLAN_STORE_COUNTS["misses"])
-            plan, compiled = plan_for(block, key, config)
-            assert compiled and plan is not None
-            assert PLAN_STORE_COUNTS["misses"] == misses0 + 1
-            # Evict the in-memory LRU: the next resolution must come
-            # from disk, still reported as compiled=True (the SimStats
-            # specialize_misses counter stays deterministic per run).
-            block._plan_cache = None
-            loaded, compiled = plan_for(block, key, config)
-            assert compiled
-            assert PLAN_STORE_COUNTS["hits"] == hits0 + 1
-            assert loaded.sends == plan.sends
-            assert loaded.reads == plan.reads
-            assert loaded.read_keys == plan.read_keys
-            assert loaded.branch_deltas == plan.branch_deltas
-            assert loaded.lsq_deltas == plan.lsq_deltas
-            assert loaded.latencies == plan.latencies
-            assert loaded.latency_by_id == plan.latency_by_id
-        finally:
-            configure_plan_store(None)
-            block._plan_cache = None
-
-    def test_old_decline_record_recompiles(self, tmp_path):
-        # Simulators that could still decline a block persisted the
-        # decision; such a record now reads as a miss and is recompiled
-        # over.
-        from repro.uarch.specialize import _STORE_SCHEMA, _store_path
-        _, block = self._block()
-        block._plan_cache = None
-        configure_plan_store(str(tmp_path))
-        try:
-            config = default_config()
-            key = machine_point_key(config)
-            path = _store_path(block, key)
-            os.makedirs(os.path.dirname(path))
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"schema": _STORE_SCHEMA, "declined": True}, fh)
-            misses0 = PLAN_STORE_COUNTS["misses"]
-            plan, compiled = plan_for(block, key, config)
-            assert compiled and plan is not None
-            assert PLAN_STORE_COUNTS["misses"] == misses0 + 1
-            with open(path, encoding="utf-8") as fh:
-                assert "declined" not in json.load(fh)
-        finally:
-            configure_plan_store(None)
-            block._plan_cache = None
-
-    def test_corrupt_record_recompiles_and_overwrites(self, tmp_path):
-        from repro.uarch.specialize import _store_path
-        _, block = self._block()
-        block._plan_cache = None
-        configure_plan_store(str(tmp_path))
-        try:
-            config = default_config()
-            key = machine_point_key(config)
-            plan, _ = plan_for(block, key, config)
-            path = _store_path(block, key)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write('{"schema": "repro-blockplan/v1", "sends": []}')
-            block._plan_cache = None
-            misses0 = PLAN_STORE_COUNTS["misses"]
-            replan, compiled = plan_for(block, key, config)
-            assert compiled and replan is not None
-            assert PLAN_STORE_COUNTS["misses"] == misses0 + 1
-            assert replan.sends == plan.sends
-            # The corrupt record was overwritten with a valid one.
-            block._plan_cache = None
-            again, _ = plan_for(block, key, config)
-            assert again.sends == plan.sends
-        finally:
-            configure_plan_store(None)
-            block._plan_cache = None
-
-
-class TestGoldenStoreRoundTrip:
-    def test_round_trip(self, tmp_path):
-        from repro.harness import pool as pool_mod
-        instance = KERNELS["crc"].build_test()
-        digest = instance.identity_digest()
-        reset_golden_memo()
-        configure_golden_store(str(tmp_path))
-        try:
-            golden, fresh = golden_for(instance, digest)
-            assert fresh
-            # Drop only the in-memory memo (reset_golden_memo would
-            # detach the store): the next request must come from disk.
-            pool_mod._GOLDEN_MEMO.clear()
-            hits0 = GOLDEN_STORE_COUNTS["hits"]
-            loaded, fresh = golden_for(instance, digest)
-            assert not fresh
-            assert GOLDEN_STORE_COUNTS["hits"] == hits0 + 1
-            trace, state = golden
-            loaded_trace, loaded_state = loaded
-            assert loaded_trace.dynamic_instructions == \
-                trace.dynamic_instructions
-            assert loaded_state.regs == state.regs
-            assert list(loaded_state.memory.nonzero_words()) == \
-                list(state.memory.nonzero_words())
-        finally:
-            reset_golden_memo()        # also detaches the store
-
-    def test_reset_detaches_the_store(self, tmp_path):
-        from repro.harness import pool as pool_mod
-        configure_golden_store(str(tmp_path))
-        assert pool_mod._GOLDEN_STORE_ROOT is not None
-        reset_golden_memo()
-        assert pool_mod._GOLDEN_STORE_ROOT is None

@@ -7,9 +7,9 @@ run the same program here and must return the same pickled
 ``(trace, final state)`` bytes: the same records in the same order,
 ``reg_writes`` in the same insertion order, the same ``src_store``
 tuple objects and ``multi_writer`` flags, and the same pages.  Pickle
-bytes are what the golden store writes, so this is also the store's
-byte-identity check.  Malformed programs must fail in both with the
-same ``ExecutionError`` message.
+bytes compare all of that at once: every field, every insertion order
+and which objects are shared.  Malformed programs must fail in both
+with the same ``ExecutionError`` message.
 """
 
 import pickle

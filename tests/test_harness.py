@@ -5,6 +5,7 @@ import pytest
 from repro.harness import (EXPERIMENTS, POINT_ORDER, STANDARD_POINTS,
                            run_point, run_points, table_t1)
 from repro.harness.cli import main as cli_main
+from repro.harness.experiments import run_experiment
 from repro.workloads import KERNELS
 
 
@@ -54,6 +55,38 @@ class TestExperiments:
     def test_t1(self):
         table = table_t1()
         assert len(table.rows) >= 10
+
+    def test_run_experiment_renders_t1(self):
+        assert run_experiment("t1", True, None) == table_t1().render()
+
+    def test_run_experiment_passes_only_listed_arguments(self, monkeypatch):
+        calls = {}
+
+        class Rendered:
+            def render(self):
+                return "table"
+
+        def plain(fast, runner):
+            calls["plain"] = {"fast": fast, "runner": runner}
+            return Rendered()
+
+        def full(fast, runner, kernels=None, sample=None):
+            calls["full"] = {"fast": fast, "runner": runner,
+                             "kernels": kernels, "sample": sample}
+            return Rendered()
+
+        monkeypatch.setitem(EXPERIMENTS, "plain", plain)
+        monkeypatch.setitem(EXPERIMENTS, "full", full)
+        runner = object()
+        assert run_experiment("plain", False, runner, kernels=["queue"],
+                              sample=3) == "table"
+        assert calls["plain"] == {"fast": False, "runner": runner}
+        run_experiment("full", True, runner, kernels=["queue"], sample=0)
+        assert calls["full"] == {"fast": True, "runner": runner,
+                                 "kernels": ["queue"], "sample": 0}
+        run_experiment("full", True, runner)
+        assert calls["full"]["kernels"] is None
+        assert calls["full"]["sample"] is None
 
     def test_e1_on_subset(self):
         from repro.harness import e1_main

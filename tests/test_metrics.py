@@ -67,11 +67,15 @@ class TestRegistry:
                 + metrics["dedup_inflight_hits"] == metrics["cells"] == 4)
 
     def test_a_shard_in_the_previous_layout_still_merges(self, tmp_path):
-        # Written before the registry: no dedup counter, and the last
-        # plan's metrics under their old names.
+        # Written before the registry: no dedup counter, the counters of
+        # the since-deleted disk stores, and the last plan's metrics
+        # under their old names.
         root = str(tmp_path)
         old = dict.fromkeys(NAMES, 1)
         del old["dedup_inflight_hits"]
+        removed = ("plan_cache_hits", "plan_cache_misses",
+                   "golden_store_hits")
+        old.update(dict.fromkeys(removed, 1))
         old.update(wall_seconds=0.5, golden_runs_per_kernel=1.0,
                    last_plan={"cells": 2, "executed": 2, "from_cache": 0})
         with open(session_shard_path(root, pid=7), "w") as fh:
@@ -79,6 +83,7 @@ class TestRegistry:
         merged = merge_session_metrics(root)
         assert merged["dedup_inflight_hits"] == 0
         assert all(merged[name] == 1 for name in old if name in NAMES)
+        assert not set(removed) & set(merged)
         assert merged["wall_seconds"] == 0.5
         assert merged["last_plan"] == old["last_plan"]
 

@@ -16,7 +16,7 @@ from repro.errors import SimulationError
 from repro.harness import (ParallelRunner, PoolExhaustedError, ResultCache,
                            SweepPlan, WorkerPool, golden_for,
                            reset_golden_memo, run_cell_chunk)
-from repro.harness import parallel
+from repro.harness import parallel, pool
 from repro.harness.metrics import merge_session_metrics, session_shard_path
 from repro.workloads import KERNELS
 
@@ -183,7 +183,9 @@ class TestWorkerPool:
             assert owner.wait(timeout=60) == 9
             pids = json.loads(pids_path.read_text())
             assert pids
-            deadline = time.monotonic() + 5.0
+            # A worker polls its parent every _PARENT_POLL_S, but on a
+            # loaded host its watcher thread may wait long for a turn.
+            deadline = time.monotonic() + 30.0
             while any(map(_running, pids)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not [pid for pid in pids if _running(pid)]
@@ -252,6 +254,26 @@ class TestGoldenMemo:
         inst.initial_regs[9] = 42             # different identity digest
         _, fresh = golden_for(inst)
         assert fresh
+
+    def test_reset_forces_a_fresh_run(self):
+        inst = KERNELS["queue"].build(12)
+        golden_for(inst)
+        reset_golden_memo()
+        _, fresh = golden_for(inst)
+        assert fresh
+
+    def test_cap_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(pool, "_GOLDEN_MEMO_CAP", 2)
+        reset_golden_memo()
+        a, b, c = (KERNELS["queue"].build(12) for _ in range(3))
+        b.initial_regs[9] = 41
+        c.initial_regs[9] = 42
+        golden_for(a)
+        golden_for(b)
+        assert not golden_for(a)[1]           # a is now the most recent
+        golden_for(c)                         # evicts b, not a
+        assert not golden_for(a)[1]
+        assert golden_for(b)[1]
 
     def test_chunk_rejects_mixed_kernels(self):
         plan = two_kernel_plan()

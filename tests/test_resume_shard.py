@@ -295,9 +295,8 @@ def _merge_cache_roots(dst: str, src: str) -> None:
     for name in os.listdir(src):
         src_dir = os.path.join(src, name)
         if not _is_shard_dir(name) or not os.path.isdir(src_dir):
-            continue            # journals, session shards, and the
-            # blockplans/golden stores stay per-host; only the
-            # two-hex-digit record directories merge
+            continue            # journals and session shards stay
+            # per-host; only the two-hex-digit record directories merge
         dst_dir = os.path.join(dst, name)
         os.makedirs(dst_dir, exist_ok=True)
         for entry in os.listdir(src_dir):

@@ -280,6 +280,7 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+            proc.stdout.close()
         # The drain persisted the server's session shard.
         shards = session_shard_files(cache_dir)
         assert any(str(proc.pid) in os.path.basename(p) for p in shards)

@@ -27,8 +27,11 @@ from pathlib import Path
 import pytest
 
 from repro.arch import run_program
-from repro.harness.parallel import arch_state_digest
+from repro.harness.cache import ResultCache
+from repro.harness.parallel import ParallelRunner, arch_state_digest
 from repro.harness.runner import STANDARD_POINTS, run_point
+from repro.harness.sweep import SweepPlan
+from repro.isa import Opcode
 from repro.uarch.config import default_config
 from repro.uarch.specialize import (PLAN_CACHE_CAP, BlockPlan, compile_plan,
                                     machine_point_key, plan_for)
@@ -204,3 +207,49 @@ class TestPlanCache:
                 assert isinstance(plan, BlockPlan)
                 assert len(plan.sends) == len(block.instructions)
                 assert len(plan.reads) == len(block.reads)
+
+
+class TestEditedBlock:
+    """A plan lives only in its block's LRU, so a block edited in place
+    and invalidated compiles afresh, whatever the cache root holds."""
+
+    @staticmethod
+    def _vecsum():
+        instance = KERNELS["vecsum"].build_test()
+        # The edit below changes the result, so the expectations go.
+        instance.expected_regs.clear()
+        instance.expected_mem_words.clear()
+        return instance
+
+    @staticmethod
+    def _first_add_to_mul(instance):
+        for block in instance.program.blocks.values():
+            for inst in block.instructions:
+                if inst.opcode is Opcode.ADD:
+                    inst.opcode = Opcode.MUL
+                    block.invalidate_caches()
+                    return
+        raise AssertionError("vecsum has no ADD")
+
+    @staticmethod
+    def _dsre_cycles(runner, instance):
+        plan = SweepPlan()
+        plan.add(instance, "dsre")
+        (result,) = runner.run_plan(plan)
+        assert not result.from_cache
+        return result.stats.cycles
+
+    def test_edited_block_recompiles_after_a_cached_run(self, tmp_path):
+        instance = self._vecsum()
+        with ParallelRunner(jobs=1,
+                            cache=ResultCache(str(tmp_path))) as runner:
+            before = self._dsre_cycles(runner, instance)
+            self._first_add_to_mul(instance)
+            after = self._dsre_cycles(runner, instance)
+        # A separately built copy: no plan of the unedited block can
+        # reach it through any cache.
+        fresh = self._vecsum()
+        self._first_add_to_mul(fresh)
+        with ParallelRunner(jobs=1) as runner:
+            assert after == self._dsre_cycles(runner, fresh)
+        assert after != before
