@@ -34,7 +34,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ConfigError
 from ..uarch.config import MachineConfig
@@ -90,13 +90,22 @@ class CacheSession:
     stored: int = 0
 
 
-def cache_key(identity_digest: str, config: MachineConfig) -> str:
-    """The content address of one (program, machine) cell."""
-    h = hashlib.sha256()
-    h.update(f"repro-result-cache/v{SCHEMA_VERSION}\n".encode())
-    h.update(identity_digest.encode())
-    h.update(b"\n")
-    h.update(config.canonical_json().encode())
+#: The hash state after the key's fixed prefix; each key copies it.
+_KEY_PREFIX = hashlib.sha256(
+    f"repro-result-cache/v{SCHEMA_VERSION}\n".encode())
+
+
+def cache_key(identity_digest: str, config: MachineConfig,
+              text: Optional[str] = None) -> str:
+    """The content address of one (program, machine) cell.
+
+    ``text`` is ``config.canonical_json()`` when the caller already holds
+    it (a runner derives it once per distinct config of a plan).
+    """
+    if text is None:
+        text = config.canonical_json()
+    h = _KEY_PREFIX.copy()
+    h.update(f"{identity_digest}\n{text}".encode())
     return h.hexdigest()
 
 
@@ -121,6 +130,10 @@ class ResultCache:
                     f"bad cache shard {shard!r}: need 0 <= index < count")
         self.shard = shard
         self.session = CacheSession()
+        #: Shard directories this object has made: ``store`` calls
+        #: ``makedirs`` only for a new one, or to retry after a
+        #: concurrent ``clear`` pruned one.
+        self._made_dirs: Set[str] = set()
 
     # ------------------------------------------------------------------
 
@@ -154,9 +167,12 @@ class ResultCache:
         except FileNotFoundError:
             self.session.misses += 1
             return None
-        except (json.JSONDecodeError, ValueError, TypeError, KeyError,
-                UnicodeDecodeError, ConfigError):
+        except (ValueError, TypeError, KeyError, RecursionError,
+                ConfigError):
             # A corrupt entry must never poison a run: drop it and rerun.
+            # (Torn or non-UTF-8 text, an integer past the parser's digit
+            # limit and nesting past the recursion limit all land here;
+            # the first three are ValueErrors.)
             # The unlink is mtime-guarded: another process may have
             # atomically replaced the file with a *valid* record between
             # our read and now, and deleting that would lose its work.
@@ -182,19 +198,23 @@ class ResultCache:
     def store(self, key: str, record: dict) -> None:
         """Atomically write ``record`` under ``key``."""
         record = dict(record, schema=SCHEMA_VERSION, key=key)
-        path = self._path(key)
+        shard_dir = os.path.join(self.root, key[:2])
+        path = os.path.join(shard_dir, key + ".json")
         tmp = path + f".tmp.{os.getpid()}"
+        # dumps, not dump: the same bytes, from the C encoder, in one
+        # write.
+        text = json.dumps(record, sort_keys=True)
         for attempt in range(3):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if attempt or shard_dir not in self._made_dirs:
+                os.makedirs(shard_dir, exist_ok=True)
+                self._made_dirs.add(shard_dir)
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    # dumps, not dump: the same bytes, from the C
-                    # encoder, in one write.
-                    fh.write(json.dumps(record, sort_keys=True))
+                    fh.write(text)
                 break
             except FileNotFoundError:
                 # A concurrent clear pruned the still-empty shard
-                # directory between makedirs and open: make it again.
+                # directory after it was made: make it again.
                 if attempt == 2:
                     raise
         os.replace(tmp, path)
@@ -214,6 +234,8 @@ class ResultCache:
         result = record["result"]
         if not isinstance(result, dict):
             raise ValueError("result section is not an object")
+        if not isinstance(record["config"], dict):
+            raise ValueError("config section is not an object")
         for name in _REQUIRED_RESULT_KEYS:
             if not isinstance(result.get(name), dict):
                 raise ValueError(f"result section missing {name!r}")
@@ -272,11 +294,13 @@ class ResultCache:
                 total_bytes += os.path.getsize(path)
                 with open(path, "r", encoding="utf-8") as fh:
                     record = json.load(fh)
-                if record.get("schema") != SCHEMA_VERSION:
-                    stale += 1
-                    continue
-                kernel = record.get("kernel", "?")
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+            except (OSError, ValueError, RecursionError):
+                stale += 1          # unreadable, torn, or not JSON
+                continue
+            kernel = (record.get("kernel", "?")
+                      if isinstance(record, dict) else None)
+            if (not isinstance(kernel, str)
+                    or record.get("schema") != SCHEMA_VERSION):
                 stale += 1
                 continue
             per_kernel[kernel] = per_kernel.get(kernel, 0) + 1
@@ -299,6 +323,7 @@ class ResultCache:
         them into place).
         """
         removed = 0
+        self._made_dirs.clear()
         for path in self.entries():
             try:
                 os.unlink(path)

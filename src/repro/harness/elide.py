@@ -107,11 +107,17 @@ def point_class(config) -> Tuple:
     return ("flush",)
 
 
-def elision_key(digest: str, config) -> Tuple[str, str, Tuple]:
-    """Group key: cells sharing it may share one invariant run."""
+def _config_group(config) -> Tuple[str, Tuple]:
+    """The config half of :func:`elision_key`: the config's JSON without
+    the speculation axis, and its :func:`point_class`."""
     base = {name: value for name, value in config.to_dict().items()
             if name not in AXIS_FIELDS}
-    return (digest, json.dumps(base, sort_keys=True), point_class(config))
+    return json.dumps(base, sort_keys=True), point_class(config)
+
+
+def elision_key(digest: str, config) -> Tuple[str, str, Tuple]:
+    """Group key: cells sharing it may share one invariant run."""
+    return (digest,) + _config_group(config)
 
 
 def pair_invariant(certificate: dict, rep_config, config) -> bool:
@@ -174,18 +180,30 @@ def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
     multi-member group where some sibling still had to simulate counts
     one ``counts["elision_fallbacks"]``.  With elision disabled every
     item executes — same yields, no grouping.
+
+    Each distinct config's group text is derived once per call (a plan
+    shares one config object among cells of equal inputs), and a
+    representative's cache key once, when it first forwards.
     """
     if not elision_enabled():
         for index, cell, digest in items:
             yield index, execute(cell, cell.config(), digest)
         return
     groups: "OrderedDict[Tuple, list]" = OrderedDict()
+    # id(config) -> (config, its _config_group); the entry holds its
+    # config, so the id cannot pass to another object meanwhile.
+    config_groups: Dict[int, Tuple[object, Tuple]] = {}
     for index, cell, digest in items:
         config = cell.config()
-        groups.setdefault(elision_key(digest, config), []).append(
+        entry = config_groups.get(id(config))
+        if entry is None:
+            entry = config_groups[id(config)] = (config,
+                                                 _config_group(config))
+        groups.setdefault((digest,) + entry[1], []).append(
             (index, cell, config))
     for key, members in groups.items():
-        # (config, record, forwarded-count) per executed member.
+        # [config, record, forwarded count, cache key once it forwards]
+        # per executed member.
         executed = []
         simulated_siblings = 0
         for position, (index, cell, config) in enumerate(members):
@@ -198,13 +216,13 @@ def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
             if donor is not None:
                 if donor[2] == 0:
                     counts["representative_runs"] += 1
+                    donor[3] = cache_key(key[0], donor[0])
                 donor[2] += 1
-                rep_key = cache_key(key[0], donor[0])
                 yield index, forwarded_record(donor[1], cell, config,
-                                              rep_key)
+                                              donor[3])
                 continue
             record = execute(cell, config, key[0])
-            executed.append([config, record, 0])
+            executed.append([config, record, 0, None])
             if position > 0:
                 simulated_siblings += 1
             yield index, record

@@ -13,7 +13,10 @@ counts, and reruns.  Two artifacts live under ``<cache root>/plans/``:
   cell with its ``source``: ``"executed"`` (simulated fresh this run),
   ``"cache"`` (served by the result cache).  Lines are appended with a
   single ``write`` in ``O_APPEND`` mode, so concurrent shard processes
-  filling one cache root interleave whole lines, never torn ones.
+  filling one cache root interleave whole lines, never torn ones.  A
+  journal object opens its file once, on the first line, and keeps that
+  one descriptor until :meth:`PlanJournal.close`; every line is still
+  its own ``write``, so a killed process loses no line it wrote.
 
 The journal is the sweep's **re-execution proof**: because executed
 cells are admitted to the content-addressed cache before being
@@ -65,6 +68,9 @@ class PlanJournal:
             self.dir, f"{digest}.manifest.json")
         self.journal_path = os.path.join(
             self.dir, f"{digest}.journal.jsonl")
+        #: The journal's ``O_APPEND`` descriptor while open (``record``
+        #: opens it; ``close`` releases it).
+        self._fd: Optional[int] = None
 
     # -- manifest -------------------------------------------------------
 
@@ -92,11 +98,12 @@ class PlanJournal:
         try:
             with open(self.manifest_path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except (OSError, ValueError, RecursionError):
             return None
         if (not isinstance(payload, dict)
                 or payload.get("schema") != JOURNAL_SCHEMA
-                or payload.get("plan") != self.digest):
+                or payload.get("plan") != self.digest
+                or not isinstance(payload.get("cells"), list)):
             return None
         return payload
 
@@ -106,34 +113,42 @@ class PlanJournal:
         """Append one completion line (crash-safe: one atomic append)."""
         if source not in SOURCES:
             raise ValueError(f"unknown journal source {source!r}")
-        os.makedirs(self.dir, exist_ok=True)
         line = json.dumps(
             {"index": index, "key": key, "source": source,
              "pid": os.getpid()},
             sort_keys=True) + "\n"
-        fd = os.open(self.journal_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
+        if self._fd is None:
+            os.makedirs(self.dir, exist_ok=True)
+            self._fd = os.open(self.journal_path,
+                               os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                               0o644)
+        os.write(self._fd, line.encode())
+
+    def close(self) -> None:
+        """Release the journal's descriptor (a later line reopens it)."""
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
             os.close(fd)
 
     def entries(self) -> Iterator[dict]:
-        """Every parseable journal line, in append order."""
+        """Every well-formed journal line, in append order: an object
+        whose ``key`` and ``source`` are strings.  A torn trailing line
+        from a crash, or any line that is not such an object (bytes
+        that are not UTF-8, an integer past the parser's digit limit,
+        nesting past the recursion limit), is skipped."""
         try:
-            fh = open(self.journal_path, "r", encoding="utf-8")
+            fh = open(self.journal_path, "rb")
         except OSError:
             return
         with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            for raw in fh:
                 try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue        # torn trailing line from a crash
-                if isinstance(entry, dict):
+                    entry = json.loads(raw.decode("utf-8"))
+                except (ValueError, RecursionError):
+                    continue
+                if (isinstance(entry, dict)
+                        and isinstance(entry.get("key"), str)
+                        and isinstance(entry.get("source"), str)):
                     yield entry
 
     def executed_counts(self) -> Dict[str, int]:
@@ -141,8 +156,8 @@ class PlanJournal:
         resumability means every value here is 1."""
         counts: Dict[str, int] = {}
         for entry in self.entries():
-            if entry.get("source") == "executed":
-                key = str(entry.get("key"))
+            if entry["source"] == "executed":
+                key = entry["key"]
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -150,7 +165,7 @@ class PlanJournal:
         """Latest journaled source per key."""
         out: Dict[str, str] = {}
         for entry in self.entries():
-            out[str(entry.get("key"))] = str(entry.get("source"))
+            out[entry["key"]] = entry["source"]
         return out
 
     def summary(self) -> Dict[str, object]:
@@ -162,16 +177,16 @@ class PlanJournal:
         reexecuted = 0
         seen_executed: Dict[str, int] = {}
         for entry in self.entries():
-            key = str(entry.get("key"))
+            key, source = entry["key"], entry["source"]
             keys.add(key)
-            if entry.get("source") == "executed":
+            if source == "executed":
                 executed += 1
                 seen_executed[key] = seen_executed.get(key, 0) + 1
                 if seen_executed[key] > 1:
                     reexecuted += 1
-            elif entry.get("source") == "cache":
+            elif source == "cache":
                 cached += 1
-            elif entry.get("source") == "forwarded":
+            elif source == "forwarded":
                 forwarded += 1
         manifest = self.manifest()
         total = len(manifest["cells"]) if manifest else None

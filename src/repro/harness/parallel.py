@@ -33,7 +33,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..arch.interp import run_program
 from ..arch.state import ArchState
@@ -61,6 +61,31 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:                       # platforms without it
         return os.cpu_count() or 1
+
+
+def plan_keys(cells: Sequence[SweepCell],
+              digests: Sequence[str]) -> List[str]:
+    """Each cell's :func:`~repro.harness.cache.cache_key`, computed once
+    per distinct ``(identity digest, config)`` pair.
+
+    A plan's cells share one config object per distinct input
+    (:class:`~repro.harness.sweep.SweepPlan`), so each config's canonical
+    text is derived once here, not once per cell.  The memo lives for
+    this call and holds each config it names, so no ``id`` in it can be
+    reused by another object meanwhile.
+    """
+    texts: Dict[int, Tuple[MachineConfig, str]] = {}
+    by_pair: Dict[Tuple[str, int], str] = {}
+    keys = []
+    for cell, digest in zip(cells, digests):
+        config = cell.config()
+        pair = (digest, id(config))
+        if pair not in by_pair:
+            if id(config) not in texts:
+                texts[id(config)] = (config, config.canonical_json())
+            by_pair[pair] = cache_key(digest, config, texts[id(config)][1])
+        keys.append(by_pair[pair])
+    return keys
 
 
 def _counters_to_dict(obj) -> Dict[str, int]:
@@ -156,7 +181,8 @@ def _differential_problems(golden_state: ArchState,
 
 def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
                  frame_arena: Optional[dict] = None,
-                 config: Optional[MachineConfig] = None) -> dict:
+                 config: Optional[MachineConfig] = None,
+                 arch_digest: Optional[str] = None) -> dict:
     """Run one cell and return its cache record.
 
     Runs the timing simulation against the kernel's golden run — the
@@ -169,7 +195,11 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
     machine point of a kernel.  ``frame_arena`` (optional, one dict per
     *program object*) likewise carries parked frames from one machine
     point of a kernel to the next, so only the first cell pays the
-    window's frame construction.
+    window's frame construction.  ``arch_digest`` is the digest of the
+    kernel's final state when the caller already holds it: a state that
+    passes the differential check has the golden state's registers and
+    non-zero words, hence its digest, so it is used only once the check
+    has passed.
     """
     instance = cell.instance
     if config is None:
@@ -201,7 +231,8 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
             "l1": _counters_to_dict(result.l1_stats),
             "predictor": _counters_to_dict(result.predictor_stats),
         },
-        "arch_digest": arch_state_digest(result.arch),
+        "arch_digest": arch_digest if arch_digest is not None
+        else arch_state_digest(result.arch),
         "halted": result.halted,
         # Top-level (not under "result"): the certificate is sweep-layer
         # provenance, not a simulated-machine counter — SimStats layout
@@ -221,29 +252,33 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
     order.  Each kernel's golden run comes from the process's memo
     (derived once), every machine point of a kernel hands its retired
     frames to the next through one arena, and cross-point elision
-    forwards clean representatives to their siblings.  Adds the
-    ``CELL`` and ``CHUNK`` counters (repro.harness.metrics) to
-    ``counts``.
+    forwards clean representatives to their siblings.  A kernel's
+    final-state digest is computed once, by its first executed cell
+    after that cell's differential check; every later cell that passes
+    the check has the same final state.  Adds the ``CELL`` and
+    ``CHUNK`` counters (repro.harness.metrics) to ``counts``.
     """
     arenas: Dict[int, dict] = {}
-    kernels = set()
+    arch_digests: Dict[str, str] = {}
 
     def execute(cell, config, digest):
         golden, fresh = golden_for(cell.instance, digest)
         counts["golden_fresh_runs" if fresh else "golden_memo_hits"] += 1
-        kernels.add(digest)
         # One frame arena per program *object* (identity, not digest):
         # frames parked by one machine point are reused by the kernel's
         # next point, and a frame's block references always belong to
         # the running program.
         arena = arenas.setdefault(id(cell.instance.program), {})
-        return execute_cell(cell, golden=golden, frame_arena=arena,
-                            config=config)
+        record = execute_cell(cell, golden=golden, frame_arena=arena,
+                              config=config,
+                              arch_digest=arch_digests.get(digest))
+        arch_digests[digest] = record["arch_digest"]
+        return record
 
     for index, record in elide_pairs(items, execute, counts):
         count_cell(counts, record)
         yield index, record
-    counts["kernels_executed"] += len(kernels)
+    counts["kernels_executed"] += len(arch_digests)
 
 
 def result_from_record(record: dict, from_cache: bool) -> CellResult:
@@ -351,34 +386,41 @@ class ParallelRunner:
         keys: List[Optional[str]] = [None] * len(cells)
         pending: List[int] = []
 
-        for index, cell in enumerate(cells):
-            config = cell.config()
-            if self.cache is not None:
-                key = cache_key(digests[index], config)
-                keys[index] = key
+        if self.cache is None:
+            pending = list(range(len(cells)))
+        else:
+            keys = plan_keys(cells, digests)
+            for index, key in enumerate(keys):
                 record = self.cache.load(key)
                 if record is not None:
                     results[index] = result_from_record(record,
                                                         from_cache=True)
-                    continue
-            pending.append(index)
+                else:
+                    pending.append(index)
 
         journal = self._open_journal(cells, keys)
-        if journal is not None:
-            for index, result in enumerate(results):
-                if result is not None:
-                    journal.record(index, keys[index], "cache")
-
-        counts = new_counts()
-        counts["cells_from_cache"] = len(cells) - len(pending)
-        pooled, records = self._execute(cells, digests, pending, counts)
-        for index, record in records:
-            self._admit(keys[index], record)
+        try:
             if journal is not None:
-                journal.record(index, keys[index],
-                               "forwarded" if record.get("forwarded_from")
-                               else "executed")
-            results[index] = result_from_record(record, from_cache=False)
+                for index, result in enumerate(results):
+                    if result is not None:
+                        journal.record(index, keys[index], "cache")
+
+            counts = new_counts()
+            counts["cells_from_cache"] = len(cells) - len(pending)
+            pooled, records = self._execute(cells, digests, keys, pending,
+                                            counts)
+            for index, record in records:
+                self._admit(keys[index], record)
+                if journal is not None:
+                    journal.record(index, keys[index],
+                                   "forwarded"
+                                   if record.get("forwarded_from")
+                                   else "executed")
+                results[index] = result_from_record(record,
+                                                    from_cache=False)
+        finally:
+            if journal is not None:
+                journal.close()
 
         for result in results:
             self.merged_stats.merge(result.stats)
@@ -404,8 +446,7 @@ class ParallelRunner:
         started = time.perf_counter()
         cells = list(plan)
         digests = identity_digests(cells)
-        keys = [cache_key(digests[i], cells[i].config())
-                for i in range(len(cells))]
+        keys = plan_keys(cells, digests)
         cached: List[int] = []
         owned: List[int] = []
         foreign: List[int] = []
@@ -420,20 +461,26 @@ class ParallelRunner:
                 foreign.append(index)
 
         journal = self._open_journal(cells, keys)
-        if journal is not None:
-            for index in cached:
-                journal.record(index, keys[index], "cache")
-
-        counts = new_counts()
-        counts["cells_from_cache"] = len(cached)
-        pooled, records = self._execute(cells, digests, owned, counts)
-        for index, record in records:
-            self._admit(keys[index], record)
-            self._merge_record_stats(record)
+        try:
             if journal is not None:
-                journal.record(index, keys[index],
-                               "forwarded" if record.get("forwarded_from")
-                               else "executed")
+                for index in cached:
+                    journal.record(index, keys[index], "cache")
+
+            counts = new_counts()
+            counts["cells_from_cache"] = len(cached)
+            pooled, records = self._execute(cells, digests, keys, owned,
+                                            counts)
+            for index, record in records:
+                self._admit(keys[index], record)
+                self._merge_record_stats(record)
+                if journal is not None:
+                    journal.record(index, keys[index],
+                                   "forwarded"
+                                   if record.get("forwarded_from")
+                                   else "executed")
+        finally:
+            if journal is not None:
+                journal.close()
         self._account_plan(counts, len(cells), pooled,
                            time.perf_counter() - started)
         return {
@@ -468,9 +515,13 @@ class ParallelRunner:
             self.cache.store(key, record)
 
     def _execute(self, cells: List[SweepCell], digests: List[str],
-                 pending: List[int], counts: Dict[str, int],
+                 keys: List[Optional[str]], pending: List[int],
+                 counts: Dict[str, int],
                  ) -> Tuple[bool, Iterable[Tuple[int, dict]]]:
         """Run the un-cached cells; returns ``(pooled, records)``.
+
+        ``keys`` are the cells' cache keys (``None`` without a cache);
+        the sweep server's runner dedups in-flight cells by them.
 
         ``records`` yields ``(plan_index, record)`` as the work
         completes, so the caller admits and journals them at once:
@@ -541,7 +592,10 @@ class ParallelRunner:
 
         ``shared`` maps ``id(original instance)`` to its pruned copy so
         cells of one kernel keep *sharing* one instance object — the
-        pool pickles each chunk's program exactly once.
+        pool pickles each chunk's program exactly once.  The copy drops
+        the plan's derived config too: a worker derives one per distinct
+        input and process (:func:`~repro.harness.pool.run_cell_chunk`),
+        which costs less than pickling configs into every chunk.
         """
         instance = shared.get(id(cell.instance))
         if instance is None:

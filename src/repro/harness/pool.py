@@ -30,20 +30,22 @@ scattered back into plan order, so tables stay byte-identical for every
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..arch.interp import run_program
 from ..arch.state import ArchState
 from ..arch.trace import ExecutionTrace
 from ..errors import SimulationError
 from .metrics import CHUNK_NAMES, new_counts
+from .sweep import shared_config
 
 
 class PoolExhaustedError(SimulationError, BrokenProcessPool):
@@ -71,6 +73,15 @@ _GOLDEN_MEMO: "OrderedDict[str, Tuple[ExecutionTrace, ArchState]]" = \
 #: only matters for very long interactive sessions over many synthetic
 #: programs.
 _GOLDEN_MEMO_CAP = 64
+
+#: Configs this process's chunk bodies derived, one per distinct plan
+#: input (:func:`~repro.harness.sweep.shared_config`'s exact value key,
+#: never an ``id``).  A pool worker derives each machine point's config
+#: once, not once per cell of every chunk; the configs are only read.
+_CONFIG_MEMO: Dict[Hashable, object] = {}
+
+#: Distinct inputs kept before the memo starts over.
+_CONFIG_MEMO_CAP = 256
 
 
 def golden_for(instance, digest: Optional[str] = None,
@@ -149,9 +160,20 @@ def run_cell_chunk(chunk: Sequence) -> dict:
         raise SimulationError(
             f"kernel-affine chunk spans {len(digests)} identity digests")
     digest = next(iter(digests))
+    if len(_CONFIG_MEMO) > _CONFIG_MEMO_CAP:
+        _CONFIG_MEMO.clear()
+
+    def with_config(cell):
+        # A cell that arrives with its plan's config (an in-process
+        # caller) keeps it; the memo only holds configs derived here.
+        if cell.derived is not None:
+            return cell
+        return dataclasses.replace(
+            cell, derived=shared_config(cell, _CONFIG_MEMO))
+
+    items = ((index, with_config(cell), digest) for index, cell in chunk)
     counts = new_counts(CHUNK_NAMES)
-    records = list(run_chunk(((index, cell, digest) for index, cell in chunk),
-                             counts))
+    records = list(run_chunk(items, counts))
     return {"records": records, "counts": counts, "pid": os.getpid()}
 
 

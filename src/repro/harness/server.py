@@ -46,7 +46,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..stats.report import Table
 from ..workloads.registry import KERNELS
-from .cache import ResultCache, cache_key
+# cache_key is not called here (the runner's probe derives each key
+# once), but perfbench/spans.py times it under this module's name.
+from .cache import ResultCache, cache_key  # noqa: F401
 from .experiments import EXPERIMENTS, run_experiment
 from .metrics import (add_counts, count_cell, counter_sections,
                       merge_session_metrics, new_counts, with_pool_counts,
@@ -194,7 +196,7 @@ class _EngineRunner(ParallelRunner):
         # executed cell, even when several plans share it).
         pass
 
-    def _execute(self, cells, digests, pending, counts):
+    def _execute(self, cells, digests, keys, pending, counts):
         self._job.set_cells([cell.label for cell in cells], pending)
         self._server.loop.call_soon_threadsafe(
             self._server._count_request, len(cells),
@@ -202,7 +204,8 @@ class _EngineRunner(ParallelRunner):
         if not pending:
             return False, ()
         future = asyncio.run_coroutine_threadsafe(
-            self._server._schedule(self._job, cells, digests, pending),
+            self._server._schedule(self._job, cells, digests, keys,
+                                   pending),
             self._server.loop)
         records, joined = future.result()
         # The plan's buckets: cells that joined another plan's execution
@@ -518,16 +521,17 @@ class SweepServer:
 
     # -- the dedup/batch engine (event loop) ----------------------------
 
-    async def _schedule(self, job: PlanJob, cells, digests, pending,
+    async def _schedule(self, job: PlanJob, cells, digests, keys, pending,
                         ) -> Tuple[List[Tuple[int, dict]], Set[int]]:
         """Schedule a plan's un-cached cells; returns
         ``([(plan_index, record), ...], joined)``, where ``joined`` holds
-        the plan indices that joined an execution already in flight."""
+        the plan indices that joined an execution already in flight.
+        ``keys`` are the cache keys the runner's probe derived."""
         joined: Set[int] = set()
         waiters = []
         for index in pending:
             cell = cells[index]
-            key = cache_key(digests[index], cell.config())
+            key = keys[index]
             future = self._inflight.get(key)
             if future is not None:
                 joined.add(index)

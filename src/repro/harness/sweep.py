@@ -6,12 +6,18 @@ to a :class:`~repro.harness.parallel.ParallelRunner`, which executes the
 cells (possibly across worker processes, possibly from cache) and returns
 results in plan order.  Cells are plain picklable data so they can cross a
 ``ProcessPoolExecutor`` boundary.
+
+A plan derives one :class:`MachineConfig` per distinct (base, point,
+overrides) input and hands that object to every cell with those inputs,
+so a 200-program x 7-point corpus plan holds 7 configs, not 1,400.  A
+derived config is read-only from then on: the runner keys, groups and
+simulates cells by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..uarch.config import MachineConfig, default_config
 from ..workloads.common import KernelInstance
@@ -26,16 +32,23 @@ class SweepCell:
     :data:`~repro.harness.runner.STANDARD_POINTS`) or ``None``, in which
     case ``overrides`` must carry ``dependence_policy``/``recovery``
     explicitly (the E4 cross-product study needs points outside the
-    standard five).
+    standard five).  ``derived`` is the config a :class:`SweepPlan`
+    derived for the cell (shared with every plan cell of equal inputs);
+    a cell built on its own leaves it ``None`` and derives a fresh config
+    on each :meth:`config` call.
     """
 
     instance: KernelInstance
     point: Optional[str]
     overrides: Dict[str, object] = field(default_factory=dict)
     base: Optional[MachineConfig] = None
+    derived: Optional[MachineConfig] = field(default=None, repr=False,
+                                             compare=False)
 
     def config(self) -> MachineConfig:
         """The fully-derived machine configuration for this cell."""
+        if self.derived is not None:
+            return self.derived
         base = self.base or default_config()
         if self.point is not None:
             policy, recovery = STANDARD_POINTS[self.point]
@@ -57,6 +70,39 @@ class SweepCell:
         return f"{self.instance.name} @ {point}{suffix}"
 
 
+#: Override value types a plan can key a derivation by: the key holds
+#: each value with its type, so ``True`` and ``1`` never share a config.
+#: Other values (an ``fu_latencies`` dict) derive a config per cell.
+_KEYABLE = (int, str, bool)
+
+
+def _inputs_key(base: Optional[MachineConfig], point: Optional[str],
+                overrides: Dict[str, object]) -> Optional[Hashable]:
+    """An exact key for one derivation's inputs, or ``None`` when an
+    override cannot be keyed.  A base enters by its canonical text, so
+    a base mutated between two ``add`` calls is a new input."""
+    items = []
+    for name, value in sorted(overrides.items()):
+        if type(value) not in _KEYABLE:
+            return None
+        items.append((name, type(value), value))
+    base_text = None if base is None else base.canonical_json()
+    return base_text, point, tuple(items)
+
+
+def shared_config(cell: SweepCell,
+                  memo: Dict[Hashable, MachineConfig]) -> MachineConfig:
+    """``cell``'s config: the one ``memo`` holds for its inputs, or a
+    fresh one, recorded in ``memo`` when its inputs can be keyed."""
+    key = _inputs_key(cell.base, cell.point, cell.overrides)
+    config = memo.get(key) if key is not None else None
+    if config is None:
+        config = cell.config()
+        if key is not None:
+            memo[key] = config
+    return config
+
+
 class SweepPlan:
     """An ordered collection of sweep cells.
 
@@ -67,11 +113,14 @@ class SweepPlan:
 
     def __init__(self) -> None:
         self.cells: List[SweepCell] = []
+        #: One derived config per distinct input (see the module doc).
+        self._configs: Dict[Hashable, MachineConfig] = {}
 
     def add(self, instance: KernelInstance, point: Optional[str],
             base: Optional[MachineConfig] = None, **overrides) -> int:
         cell = SweepCell(instance, point, dict(overrides), base)
-        cell.config()          # validate eagerly: fail at plan time
+        # Derived (so validated) here: a bad cell fails at plan time.
+        cell.derived = shared_config(cell, self._configs)
         self.cells.append(cell)
         return len(self.cells) - 1
 

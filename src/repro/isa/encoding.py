@@ -21,6 +21,11 @@ Layout (all integers little-endian)::
                  [svarint imm], [varint lsid, u8 width], [varint label]
 
 Varints are LEB128; signed values use zigzag.
+
+:func:`encode` writes into one ``bytearray`` and reads opcodes and target
+kinds as module constants: every sweep encodes each program once to
+derive its identity digest, so encoding sits in a sweep's serial prefix
+(docs/PERFORMANCE.md §17).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Dict, List, Optional
 
 from ..errors import EncodingError
 from .block import Block, ReadSlot, WriteSlot
-from .instruction import Instruction, Slot, Target, TargetKind
+from .instruction import TARGET_WRITE, Instruction, Slot, Target, TargetKind
 from .opcodes import Opcode
 from .program import DataSegment, Program
 
@@ -49,22 +54,23 @@ _FLAG_IS_BRANCH = 1 << 4
 _SLOT_ID = {Slot.OP0: 0, Slot.OP1: 1, Slot.PRED: 2}
 _SLOT_BY_ID = {v: k for k, v in _SLOT_ID.items()}
 
+#: Opcodes the encoder tests by identity, bound once.
+_OP_LOAD = Opcode.LOAD
+_OP_STORE = Opcode.STORE
+_OP_BRO = Opcode.BRO
+
 
 # ----------------------------------------------------------------------
 # varint primitives
 # ----------------------------------------------------------------------
 
-def _write_varint(out: io.BytesIO, value: int) -> None:
+def _write_varint(out: bytearray, value: int) -> None:
     if value < 0:
         raise EncodingError(f"varint cannot encode negative {value}")
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.write(bytes([byte | 0x80]))
-        else:
-            out.write(bytes([byte]))
-            return
+    out.append(value)
 
 
 def _read_varint(src: io.BytesIO) -> int:
@@ -83,7 +89,7 @@ def _read_varint(src: io.BytesIO) -> int:
             raise EncodingError("varint too long")
 
 
-def _write_svarint(out: io.BytesIO, value: int) -> None:
+def _write_svarint(out: bytearray, value: int) -> None:
     encoded = (value << 1) if value >= 0 else (((-value) << 1) - 1)
     _write_varint(out, encoded)
 
@@ -117,33 +123,33 @@ def encode(program: Program) -> bytes:
     strings = _StringTable()
     entry_idx = strings.add(program.entry)
     segment_name_idx = [strings.add(seg.name) for seg in program.segments]
-    block_payloads = []
+    # Blocks first: they add their names and branch targets to the
+    # string table, which precedes them in the output.
+    blocks = bytearray()
     for block in program.blocks.values():
-        block_payloads.append(_encode_block(block, strings))
+        _encode_block(blocks, block, strings)
 
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(bytes([VERSION]))
+    out = bytearray(MAGIC)
+    out.append(VERSION)
     _write_varint(out, entry_idx)
     _write_varint(out, len(strings.strings))
     for text in strings.strings:
         raw = text.encode("utf-8")
         _write_varint(out, len(raw))
-        out.write(raw)
+        out += raw
     _write_varint(out, len(program.segments))
     for name_idx, seg in zip(segment_name_idx, program.segments):
         _write_varint(out, name_idx)
         _write_varint(out, seg.base)
         _write_varint(out, len(seg.data))
-        out.write(seg.data)
-    _write_varint(out, len(block_payloads))
-    for payload in block_payloads:
-        out.write(payload)
-    return out.getvalue()
+        out += seg.data
+    _write_varint(out, len(program.blocks))
+    out += blocks
+    return bytes(out)
 
 
-def _encode_block(block: Block, strings: _StringTable) -> bytes:
-    out = io.BytesIO()
+def _encode_block(out: bytearray, block: Block,
+                  strings: _StringTable) -> None:
     _write_varint(out, strings.add(block.name))
     _write_varint(out, len(block.reads))
     for read in block.reads:
@@ -155,39 +161,46 @@ def _encode_block(block: Block, strings: _StringTable) -> bytes:
     _write_varint(out, len(block.instructions))
     for inst in block.instructions:
         _encode_instruction(out, inst, strings)
-    return out.getvalue()
 
 
-def _encode_targets(out: io.BytesIO, targets: List[Target]) -> None:
+def _encode_targets(out: bytearray, targets: List[Target]) -> None:
     _write_varint(out, len(targets))
     for target in targets:
-        kind = 1 if target.kind is TargetKind.WRITE else 0
-        slot = _SLOT_ID[target.slot]
-        _write_varint(out, (target.index << 3) | (slot << 1) | kind)
+        packed = ((target.index << 3) | (_SLOT_ID[target.slot] << 1)
+                  | (target.kind is TARGET_WRITE))
+        if 0 <= packed < 0x80:
+            out.append(packed)
+        else:
+            _write_varint(out, packed)
 
 
-def _encode_instruction(out: io.BytesIO, inst: Instruction,
+def _encode_instruction(out: bytearray, inst: Instruction,
                         strings: _StringTable) -> None:
-    out.write(bytes([_OPCODE_ID[inst.opcode]]))
+    opcode = inst.opcode
+    is_memory = opcode is _OP_LOAD or opcode is _OP_STORE
+    is_branch = opcode is _OP_BRO
+    imm = inst.imm
+    pred = inst.pred
     flags = 0
-    if inst.imm is not None:
+    if imm is not None:
         flags |= _FLAG_HAS_IMM
-    if inst.pred is True:
+    if pred is True:
         flags |= _FLAG_PRED_TRUE
-    elif inst.pred is False:
+    elif pred is False:
         flags |= _FLAG_PRED_FALSE
-    if inst.is_memory:
+    if is_memory:
         flags |= _FLAG_IS_MEMORY
-    if inst.is_branch:
+    if is_branch:
         flags |= _FLAG_IS_BRANCH
-    out.write(bytes([flags]))
+    out.append(_OPCODE_ID[opcode])
+    out.append(flags)
     _encode_targets(out, inst.targets)
-    if inst.imm is not None:
-        _write_svarint(out, inst.imm)
-    if inst.is_memory:
+    if imm is not None:
+        _write_svarint(out, imm)
+    if is_memory:
         _write_varint(out, inst.lsid)
-        out.write(bytes([inst.width]))
-    if inst.is_branch:
+        out.append(inst.width)
+    if is_branch:
         _write_varint(out, strings.add(inst.branch_target))
 
 

@@ -197,6 +197,8 @@ class MachineConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MachineConfig":
         """Inverse of :meth:`to_dict`; validates the result."""
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be an object")
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - fields
         if unknown:
@@ -204,6 +206,8 @@ class MachineConfig:
                 f"unknown config fields: {', '.join(sorted(unknown))}")
         kwargs = dict(data)
         if "fu_latencies" in kwargs:
+            if not isinstance(kwargs["fu_latencies"], dict):
+                raise ConfigError("fu_latencies must be an object")
             try:
                 kwargs["fu_latencies"] = {
                     OpClass[name]: lat

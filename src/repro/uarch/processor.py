@@ -63,6 +63,45 @@ _FRAME_ARENA_CAP = 8
 #: Sentinel "no tile work scheduled" cycle (past any legal max_cycles).
 _NEVER = 1 << 62
 
+#: Geometry tables (``_inst_tile``, ``_inst_coord``, ``_resp_route``,
+#: ``_fwd_delta``; see ``Processor.__init__``) per distinct
+#: ``(grid_width, grid_height, local_latency, base_latency,
+#: hop_latency)``, the only fields they read.  Shared between processors
+#: as tuples, so no processor can write another's; keyed by value, so a
+#: config never reaches another geometry's tables.
+_GEOMETRY: Dict[Tuple[int, ...], Tuple[tuple, tuple, tuple, int]] = {}
+
+#: More distinct geometries than any sweep uses; past it the memo starts
+#: over (a long session over random configs stays bounded).
+_GEOMETRY_CAP = 64
+
+
+def _geometry_tables(config: MachineConfig
+                     ) -> Tuple[tuple, tuple, tuple, int]:
+    """``(inst_tile, inst_coord, resp_route, fwd_delta)`` for
+    ``config``'s geometry, computed once per distinct geometry."""
+    key = (config.grid_width, config.grid_height, config.local_latency,
+           config.base_latency, config.hop_latency)
+    tables = _GEOMETRY.get(key)
+    if tables is not None:
+        return tables
+    inst_tile = tuple(config.tile_of_instruction(i) for i in range(128))
+    inst_coord = tuple(config.tile_coord(t) for t in inst_tile)
+    route = config.route_latency
+    lsq_coord = config.lsq_coord
+    control_coord = config.control_coord
+    resp_route = tuple(route(lsq_coord, config.tile_coord(i))
+                       for i in range(config.n_tiles))
+    fwd_delta = max(1, route(control_coord, control_coord))
+    tables = (inst_tile, inst_coord, resp_route, fwd_delta)
+    # Only plain ints key the memo: ``4`` and ``4.0`` are equal keys but
+    # would build different tables.
+    if all(type(value) is int for value in key):
+        if len(_GEOMETRY) >= _GEOMETRY_CAP:
+            _GEOMETRY.clear()
+        _GEOMETRY[key] = tables
+    return tables
+
 
 @dataclass
 class SimResult:
@@ -184,18 +223,12 @@ class Processor:
         # LSQ adds its access latency before the ``max(1, ...)`` clamp, so
         # the raw route is kept), the control-to-control delay of a
         # register forward, and per-instruction FU latency (seeded from
-        # each block's plan at first map).
-        self._inst_tile = [self.config.tile_of_instruction(i)
-                           for i in range(128)]
-        self._inst_coord = [self.config.tile_coord(t)
-                            for t in self._inst_tile]
+        # each block's plan at first map).  The geometry tables are
+        # tuples shared between processors of one geometry.
+        (self._inst_tile, self._inst_coord, self._resp_route,
+         self._fwd_delta) = _geometry_tables(self.config)
         self._control_coord = self.config.control_coord
         self._lsq_coord = self.config.lsq_coord
-        route = self.config.route_latency
-        self._resp_route = [route(self._lsq_coord, tile.coord)
-                            for tile in self.tiles]
-        self._fwd_delta = max(1, route(self._control_coord,
-                                       self._control_coord))
         self._op_latency: Dict[int, int] = {}
         #: Protocol capability flag, read on every node event: commit-wave
         #: protocols need finality upgrades and store address-finality

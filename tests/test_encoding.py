@@ -85,15 +85,15 @@ class TestVarints:
     def test_varint_roundtrip(self, value):
         import io
         from repro.isa.encoding import _read_varint, _write_varint
-        out = io.BytesIO()
+        out = bytearray()
         _write_varint(out, value)
-        assert _read_varint(io.BytesIO(out.getvalue())) == value
+        assert _read_varint(io.BytesIO(out)) == value
 
     @given(st.integers(min_value=-(1 << 69), max_value=1 << 69))
     @settings(max_examples=200)
     def test_svarint_roundtrip(self, value):
         import io
         from repro.isa.encoding import _read_svarint, _write_svarint
-        out = io.BytesIO()
+        out = bytearray()
         _write_svarint(out, value)
-        assert _read_svarint(io.BytesIO(out.getvalue())) == value
+        assert _read_svarint(io.BytesIO(out)) == value
