@@ -80,10 +80,6 @@ def _serve_command(argv: List[str]) -> int:
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help="worker processes (default: all CPUs)")
     parser.add_argument("--cache-dir", default=".repro-cache")
-    parser.add_argument("--batch-window", type=float, default=0.02,
-                        metavar="SEC",
-                        help="submission-coalescing window "
-                             "(default: %(default)s)")
     parser.add_argument("--drain-linger", type=float, default=1.0,
                         metavar="SEC",
                         help="serve GETs this long after the last plan "
@@ -96,8 +92,7 @@ def _serve_command(argv: List[str]) -> int:
 
     config = ServerConfig(
         host=args.host, port=args.port, jobs=args.jobs,
-        cache_dir=args.cache_dir, batch_window=args.batch_window,
-        drain_linger=args.drain_linger)
+        cache_dir=args.cache_dir, drain_linger=args.drain_linger)
     return SweepServer(config).serve_forever(port_file=args.port_file)
 
 

@@ -21,11 +21,13 @@ Where a counter is counted:
   the attribute named by the counter's label.
 
 A runner adds each chunk's counts to its plan tally and each plan's
-tally to its session totals.  The sweep server adds each executed
-chunk's counts once, however many plans share its cells; it counts a
-plan's cached cells as the plan starts executing, each in-flight join
-as it happens, and each finished plan in ``plans_run``, so a plan that
-fails or is still running shows too.
+tally to its session totals.  The sweep server runs each plan on a
+runner and adds each executed chunk's counts once, in the plan that ran
+it, as the chunk's records arrive; a plan that joins another plan's
+cells in flight counts them as ``dedup_inflight_hits``, not again as
+work.  It counts a plan's cached cells and joins as the plan starts
+executing, and each finished plan in ``plans_run``, so a plan that fails
+or is still running shows too.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..arch.interp import run_program
 from ..arch.state import ArchState
@@ -281,14 +282,20 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
     counts["kernels_executed"] += len(arch_digests)
 
 
-def result_from_record(record: dict, from_cache: bool) -> CellResult:
-    """Rebuild a :class:`CellResult` from a cache/worker record."""
+def result_from_record(record: dict, from_cache: bool,
+                       config: MachineConfig) -> CellResult:
+    """Rebuild a :class:`CellResult` from a cache/worker record.
+
+    ``config`` is the cell's own, which the record's ``config`` section
+    serialises (a cached record's key, checked on load, addresses its
+    canonical text), so the section is not parsed again.
+    """
     payload = record["result"]
     return CellResult(
         kernel=record["kernel"],
         point=record["point"],
         label=record.get("label", record["kernel"]),
-        config=MachineConfig.from_dict(record["config"]),
+        config=config,
         stats=_counters_from_dict(SimStats, payload["stats"]),
         network_stats=_counters_from_dict(NetworkStats, payload["network"]),
         lsq_stats=_counters_from_dict(LsqStats, payload["lsq"]),
@@ -384,6 +391,7 @@ class ParallelRunner:
         digests = identity_digests(cells)
         results: List[Optional[CellResult]] = [None] * len(cells)
         keys: List[Optional[str]] = [None] * len(cells)
+        cached: List[int] = []
         pending: List[int] = []
 
         if self.cache is None:
@@ -393,39 +401,20 @@ class ParallelRunner:
             for index, key in enumerate(keys):
                 record = self.cache.load(key)
                 if record is not None:
-                    results[index] = result_from_record(record,
-                                                        from_cache=True)
+                    cached.append(index)
+                    results[index] = result_from_record(
+                        record, from_cache=True,
+                        config=cells[index].config())
                 else:
                     pending.append(index)
 
-        journal = self._open_journal(cells, keys)
-        try:
-            if journal is not None:
-                for index, result in enumerate(results):
-                    if result is not None:
-                        journal.record(index, keys[index], "cache")
+        def take(index: int, record: dict) -> None:
+            results[index] = result_from_record(
+                record, from_cache=False, config=cells[index].config())
 
-            counts = new_counts()
-            counts["cells_from_cache"] = len(cells) - len(pending)
-            pooled, records = self._execute(cells, digests, keys, pending,
-                                            counts)
-            for index, record in records:
-                self._admit(keys[index], record)
-                if journal is not None:
-                    journal.record(index, keys[index],
-                                   "forwarded"
-                                   if record.get("forwarded_from")
-                                   else "executed")
-                results[index] = result_from_record(record,
-                                                    from_cache=False)
-        finally:
-            if journal is not None:
-                journal.close()
-
+        self._sweep(started, cells, digests, keys, cached, pending, take)
         for result in results:
             self.merged_stats.merge(result.stats)
-        self._account_plan(counts, len(cells), pooled,
-                           time.perf_counter() - started)
         return results
 
     def fill_plan(self, plan: Iterable[SweepCell]) -> Dict[str, object]:
@@ -460,29 +449,10 @@ class ParallelRunner:
             else:
                 foreign.append(index)
 
-        journal = self._open_journal(cells, keys)
-        try:
-            if journal is not None:
-                for index in cached:
-                    journal.record(index, keys[index], "cache")
-
-            counts = new_counts()
-            counts["cells_from_cache"] = len(cached)
-            pooled, records = self._execute(cells, digests, keys, owned,
-                                            counts)
-            for index, record in records:
-                self._admit(keys[index], record)
-                self._merge_record_stats(record)
-                if journal is not None:
-                    journal.record(index, keys[index],
-                                   "forwarded"
-                                   if record.get("forwarded_from")
-                                   else "executed")
-        finally:
-            if journal is not None:
-                journal.close()
-        self._account_plan(counts, len(cells), pooled,
-                           time.perf_counter() - started)
+        counts = self._sweep(
+            started, cells, digests, keys, cached, owned,
+            lambda index, record: self._merge_record_stats(record))
+        journal = self.last_journal
         return {
             "plan": journal.digest if journal is not None
             else plan_digest(keys),
@@ -493,6 +463,41 @@ class ParallelRunner:
             "foreign": len(foreign),
             "owned": len(owned),
         }
+
+    def _sweep(self, started: float, cells: List[SweepCell],
+               digests: List[str], keys: List[Optional[str]],
+               cached: List[int], pending: List[int],
+               take: Callable[[int, dict], None]) -> Dict[str, int]:
+        """The loop :meth:`run_plan` and :meth:`fill_plan` share: journal
+        the ``cached`` cells, execute ``pending``, and admit, journal and
+        ``take(index, record)`` each fresh record as it arrives (admitted
+        first, so a journal line names a stored record); close the
+        journal however the plan ends, then account the plan.  Returns
+        the plan's counts."""
+        journal = self._open_journal(cells, keys)
+        try:
+            if journal is not None:
+                for index in cached:
+                    journal.record(index, keys[index], "cache")
+
+            counts = new_counts()
+            counts["cells_from_cache"] = len(cached)
+            pooled, records = self._execute(cells, digests, keys, pending,
+                                            counts)
+            for index, record in records:
+                self._admit(keys[index], record)
+                if journal is not None:
+                    journal.record(index, keys[index],
+                                   "forwarded"
+                                   if record.get("forwarded_from")
+                                   else "executed")
+                take(index, record)
+        finally:
+            if journal is not None:
+                journal.close()
+        self._account_plan(counts, len(cells), pooled,
+                           time.perf_counter() - started)
+        return counts
 
     def _open_journal(self, cells: List[SweepCell],
                       keys: List[Optional[str]]) -> Optional[PlanJournal]:
@@ -509,8 +514,8 @@ class ParallelRunner:
 
     def _admit(self, key: Optional[str], record: dict) -> None:
         """Write one fresh record back to the cache (hook point: the
-        sweep server's runner overrides this — its execution engine has
-        already admitted the record exactly once)."""
+        sweep server's runner skips a record it joined from another
+        plan's execution, which that plan stored)."""
         if self.cache is not None:
             self.cache.store(key, record)
 

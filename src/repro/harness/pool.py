@@ -53,9 +53,9 @@ class PoolExhaustedError(SimulationError, BrokenProcessPool):
 
     Unlike a bare :class:`BrokenProcessPool`, this names exactly which
     tasks were lost: ``unfinished`` carries the labels the caller
-    submitted alongside the tasks (the runner and the sweep server pass
-    chunk identity digests), so the caller can reschedule or report the
-    lost cells precisely instead of guessing.  Subclassing
+    submitted alongside the tasks (the runner passes chunk identity
+    digests), so the caller can reschedule or report the lost cells
+    precisely instead of guessing.  Subclassing
     ``BrokenProcessPool`` keeps existing ``except`` clauses working.
     """
 
@@ -229,7 +229,7 @@ class WorkerPool:
         self.tasks_run = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Guards executor creation/teardown: the sweep server calls
-        #: :meth:`run` from several dispatcher threads at once, and a
+        #: :meth:`stream` from several plan threads at once, and a
         #: break observed by two of them must respawn exactly once.
         self._lock = threading.Lock()
         self._generation = 0

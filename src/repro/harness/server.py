@@ -16,14 +16,14 @@
   including the merged per-process session shards of every runner that
   ever used this cache root.
 
-Core mechanisms: work is **deduplicated** (two requests for the same
-``(identity_digest, config)`` cell share one in-flight execution keyed
-on the cache key), **batched** (cells submitted within one batching
-window are regrouped into kernel-affine chunks before pool submission,
-so concurrent plans share golden runs), and **drained gracefully** on
-SIGTERM (new plans are refused, in-flight chunks finish, session
-metrics are persisted, then the process exits).  A request's
-``X-Tenant`` header only labels its plan's status.
+Core mechanisms: each plan runs on the CLI's runner, so its un-cached
+cells go to the server's one worker pool as kernel-affine chunks and
+each chunk's records are stored as the chunk finishes; work is
+**deduplicated** across plans (a cell whose cache key another plan is
+executing waits for that plan's record instead of running again); and
+the server **drains gracefully** on SIGTERM (new plans are refused,
+in-flight plans finish, session metrics are persisted, then the process
+exits).  A request's ``X-Tenant`` header only labels its plan's status.
 
 The protocol is deliberately minimal HTTP/1.1 (one request per
 connection) so the server needs nothing beyond the standard library.
@@ -32,7 +32,6 @@ connection) so the server needs nothing beyond the standard library.
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import itertools
 import json
@@ -40,8 +39,8 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..stats.report import Table
@@ -50,16 +49,22 @@ from ..workloads.registry import KERNELS
 # once), but perfbench/spans.py times it under this module's name.
 from .cache import ResultCache, cache_key  # noqa: F401
 from .experiments import EXPERIMENTS, run_experiment
-from .metrics import (add_counts, count_cell, counter_sections,
+from .metrics import (CHUNK_NAMES, add_counts, counter_sections,
                       merge_session_metrics, new_counts, with_pool_counts,
                       write_session_shard)
 from .parallel import ParallelRunner
-from .pool import PoolExhaustedError, WorkerPool, run_cell_chunk
+# run_cell_chunk is not called here (the runner's pooled path submits
+# the chunks), but perfbench/spans.py times it under this module's name.
+from .pool import PoolExhaustedError, WorkerPool, run_cell_chunk  # noqa: F401
 from .runner import POINT_ORDER, STANDARD_POINTS
 from .sweep import SweepPlan
 
 #: Largest accepted request body (a plan is a few KB of JSON).
 MAX_BODY_BYTES = 1 << 20
+
+#: Plans evaluated at once, each on its own thread; later plans wait
+#: for a free thread.
+MAX_PLANS = 8
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -74,28 +79,25 @@ class _BadRequest(Exception):
 
 @dataclass
 class ServerConfig:
-    """Tunables for one :class:`SweepServer` process."""
+    """Deployment settings for one :class:`SweepServer` process."""
 
     host: str = "127.0.0.1"
     port: int = 0                    # 0: let the OS pick a free port
     jobs: int = 0                    # 0: one worker per CPU
     cache_dir: str = ".repro-cache"
-    max_respawns: int = 2
-    #: Seconds submissions are coalesced before kernel-affine chunking.
-    batch_window: float = 0.02
     #: After the last in-flight plan finishes during drain, keep serving
     #: GETs this long so clients can collect their tables.
     drain_linger: float = 1.0
-    #: Concurrent plan-evaluation threads.
-    max_plans: int = 8
 
 
 class PlanJob:
     """One submitted plan: request, per-cell progress, and the result.
 
-    Cell states move ``pending -> queued -> running -> done`` (or
-    ``cached`` straight away, or ``failed``).  Mutated from both the
-    plan-evaluation thread and the event loop, hence the lock.
+    A cell is ``cached`` when the probe found it, ``running`` from the
+    time its plan submits or joins it until its record arrives, then
+    ``done``; a cell still running when the plan fails is ``failed``.
+    Mutated from both the plan-evaluation thread and the event loop,
+    hence the lock.
     """
 
     def __init__(self, plan_id: str, tenant: str, request: dict):
@@ -118,7 +120,7 @@ class PlanJob:
         with self._lock:
             self._cells = [
                 {"label": label,
-                 "state": "pending" if i in pending_set else "cached"}
+                 "state": "running" if i in pending_set else "cached"}
                 for i, label in enumerate(labels)]
 
     def cell_state(self, index: int, state: str) -> None:
@@ -145,6 +147,10 @@ class PlanJob:
         self.finished = time.time()
 
     def fail(self, error: str) -> None:
+        with self._lock:
+            for cell in self._cells:
+                if cell["state"] == "running":
+                    cell["state"] = "failed"
         self.error = error
         self.state = "failed"
         self.finished = time.time()
@@ -163,26 +169,19 @@ class PlanJob:
         }
 
 
-@dataclass
-class _CellTask:
-    """One cell on its way through the dedup/batch/pool engine."""
+class _ServedRunner(ParallelRunner):
+    """The CLI's runner on the server's pool and cache, with in-flight
+    dedup; runs on a plan-evaluation thread.
 
-    job: PlanJob
-    index: int                       # plan index (for progress updates)
-    cell: object                     # SweepCell
-    digest: str                      # kernel identity digest
-    key: str                         # full cache key (dedup identity)
-    future: asyncio.Future = field(default=None)  # set by the scheduler
-
-
-class _EngineRunner(ParallelRunner):
-    """A runner whose execution stage routes through the server engine.
-
-    ``run_plan`` keeps its normal shape — probe the cache, execute the
-    remainder, admit, account — but the remainder is handed to the
-    server's dedup/batch scheduler instead of a private pool, so cells
-    from concurrent plans share in-flight executions and chunks.  Runs
-    on a plan-evaluation thread; the engine runs on the event loop.
+    Each pending cell first claims its cache key in the server's claim
+    table (:meth:`SweepServer._claim`).  The cells this plan claimed
+    run through :meth:`ParallelRunner._execute`; :meth:`_admit` stores
+    each record, then settles its claim.  A cell whose key was already
+    claimed, by another plan or an earlier cell of this one, joins that
+    claim: once this plan's own chunks are done, it takes the owner's
+    record and does not store it again.  Settling its own claims before
+    waiting on a joined one keeps two plans that join each other's
+    cells from waiting on each other.
     """
 
     def __init__(self, server: "SweepServer", job: PlanJob):
@@ -190,38 +189,54 @@ class _EngineRunner(ParallelRunner):
                          pool=server.pool)
         self._server = server
         self._job = job
-
-    def _admit(self, key, record):
-        # The engine already stored the record (exactly once per
-        # executed cell, even when several plans share it).
-        pass
+        #: This plan's unsettled claims: cache key -> the future its
+        #: joiners wait on.
+        self.claims: Dict[str, Future] = {}
 
     def _execute(self, cells, digests, keys, pending, counts):
         self._job.set_cells([cell.label for cell in cells], pending)
-        self._server.loop.call_soon_threadsafe(
-            self._server._count_request, len(cells),
-            counts["cells_from_cache"])
-        if not pending:
-            return False, ()
-        future = asyncio.run_coroutine_threadsafe(
-            self._server._schedule(self._job, cells, digests, keys,
-                                   pending),
-            self._server.loop)
-        records, joined = future.result()
-        # The plan's buckets: cells that joined another plan's execution
-        # in flight, and the cells it enqueued itself.  Chunk-level
-        # facts (golden runs, elision groups, stores) are shared by every
-        # plan in the chunk, so only the server counts them.
+        own, joined = self._server._claim(self.claims, digests, keys,
+                                          pending, counts)
         counts["dedup_inflight_hits"] += len(joined)
-        for index, record in records:
-            if index not in joined:
-                count_cell(counts, record)
-        return True, records
+        chunk_counts = new_counts(CHUNK_NAMES)
+        pooled, records = super()._execute(cells, digests, keys, own,
+                                           chunk_counts)
+        return pooled, self._records(records, chunk_counts, counts, joined)
+
+    def _records(self, records, chunk_counts, counts, joined):
+        """This plan's own records as its chunks finish, then each joined
+        record as its owner settles it.  The pooled path adds a chunk's
+        counters to ``chunk_counts`` before yielding its records; they
+        move into ``counts`` and the server's totals with its first."""
+        try:
+            for index, record in records:
+                if any(chunk_counts.values()):
+                    self._server._add_totals(chunk_counts)
+                    add_counts(counts, chunk_counts)
+                    chunk_counts.update(new_counts(CHUNK_NAMES))
+                self._job.cell_state(index, "done")
+                yield index, record
+        except Exception as exc:
+            self._server._count_chunk_failure(exc)
+            raise
+        for index, claim in joined:
+            record = claim.result()
+            self._job.cell_state(index, "done")
+            yield index, record
+
+    def _admit(self, key, record):
+        claim = self.claims.get(key)
+        if claim is None:
+            return              # joined: its owner stored the record
+        super()._admit(key, record)
+        # Settled only once stored: a store that raises leaves the claim
+        # to fail with the plan.
+        del self.claims[key]
+        self._server._settle(key, claim, record)
 
     def _write_session_metrics(self):
         # This process's one shard is the server's: hand it the plan.
-        self._server.loop.call_soon_threadsafe(self._server._absorb_plan,
-                                               self.last_metrics)
+        self._server._absorb_plan(self.last_metrics)
 
 
 def expand_grid(request: dict) -> SweepPlan:
@@ -283,13 +298,16 @@ class SweepServer:
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
         jobs = self.config.jobs or (os.cpu_count() or 1)
-        self.pool = WorkerPool(max(1, jobs),
-                               max_respawns=self.config.max_respawns)
+        self.pool = WorkerPool(max(1, jobs))
         self.cache = ResultCache(self.config.cache_dir)
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.port: Optional[int] = None
         self.draining = False
         self.started_at: Optional[float] = None
+        #: Guards :attr:`counters`, :attr:`totals`, :attr:`wall_seconds`,
+        #: :attr:`lost_digests` and the claim table: plan threads and
+        #: the event loop both change them.
+        self._lock = threading.Lock()
         #: Server events; the sweep counters are in :attr:`totals`.
         self.counters: Dict[str, int] = dict.fromkeys((
             "plans_submitted", "plans_completed", "plans_failed",
@@ -297,24 +315,22 @@ class SweepServer:
             "pool_exhausted"), 0)
         #: Session totals of the registered sweep counters
         #: (repro.harness.metrics): each executed chunk's counts once,
-        #: each plan's cached cells as it starts, each in-flight join as
-        #: it happens, and each finished plan in ``plans_run``.
+        #: in the plan that ran it, as the chunk's records arrive; each
+        #: plan's cached cells and in-flight joins as it starts
+        #: executing; and each finished plan in ``plans_run``.
         self.totals: Dict[str, int] = new_counts()
         self.wall_seconds = 0.0
         self.lost_digests: List[str] = []
         self._jobs: Dict[str, PlanJob] = {}
-        self._inflight: Dict[str, asyncio.Future] = {}
-        self._queue: Optional[asyncio.Queue] = None
+        #: The claim table: cache key -> the future that the plan
+        #: executing that key settles with its record (or fails).
+        self._claims: Dict[str, Future] = {}
         self._plan_tasks: Set[asyncio.Task] = set()
-        self._work_tasks: Set[asyncio.Task] = set()
         self._last_plan: Optional[dict] = None
         self._plan_counter = itertools.count(1)
         self._serving = threading.Event()
         self._plan_executor = ThreadPoolExecutor(
-            max_workers=self.config.max_plans, thread_name_prefix="plan")
-        self._chunk_executor = ThreadPoolExecutor(
-            max_workers=max(2, self.pool.jobs),
-            thread_name_prefix="chunk")
+            max_workers=MAX_PLANS, thread_name_prefix="plan")
 
     # -- lifecycle ------------------------------------------------------
 
@@ -331,16 +347,13 @@ class SweepServer:
         finally:
             self._serving.clear()
             self._plan_executor.shutdown(wait=False)
-            self._chunk_executor.shutdown(wait=False)
             self.pool.close()
             loop.close()
 
     async def _startup(self, port_file: Optional[str],
                        install_signals: bool) -> None:
-        self._queue = asyncio.Queue()
         self._stopped = asyncio.Event()
         self.started_at = time.time()
-        self._batcher_task = self.loop.create_task(self._batcher())
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -387,17 +400,15 @@ class SweepServer:
         self._persist_session()
         self._server.close()
         await self._server.wait_closed()
-        self._batcher_task.cancel()
-        for task in list(self._work_tasks):
-            task.cancel()
         self._stopped.set()
 
     def _persist_session(self) -> None:
         """Write this server process's session shard (merged back by
         ``cli cache stats`` and ``/metrics``, alongside CLI runners)."""
-        write_session_shard(self.cache.root,
-                            with_pool_counts(self.totals, self.pool),
-                            self.wall_seconds, self._last_plan)
+        with self._lock:
+            totals = with_pool_counts(self.totals, self.pool)
+            wall, last_plan = self.wall_seconds, self._last_plan
+        write_session_shard(self.cache.root, totals, wall, last_plan)
 
     # -- plan admission -------------------------------------------------
 
@@ -459,7 +470,7 @@ class SweepServer:
         job = PlanJob(f"plan-{next(self._plan_counter)}", str(tenant),
                       request)
         self._jobs[job.id] = job
-        self.counters["plans_submitted"] += 1
+        self._count("plans_submitted")
         task = self.loop.create_task(self._drive_plan(job))
         self._plan_tasks.add(task)
         task.add_done_callback(self._plan_tasks.discard)
@@ -469,28 +480,26 @@ class SweepServer:
     # -- plan execution -------------------------------------------------
 
     async def _drive_plan(self, job: PlanJob) -> None:
-        job.state = "running"
         try:
             table = await self.loop.run_in_executor(
                 self._plan_executor, self._run_plan_sync, job)
         except PoolExhaustedError as exc:
-            self.counters["plans_failed"] += 1
             job.fail(f"worker pool exhausted; lost kernels: "
                      f"{', '.join(map(str, exc.unfinished))}")
         except _BadRequest as exc:
-            self.counters["plans_failed"] += 1
             job.fail(f"bad plan: {exc}")
         except Exception as exc:            # report, never crash the loop
-            self.counters["plans_failed"] += 1
             job.fail(f"{type(exc).__name__}: {exc}")
         else:
-            self.counters["plans_completed"] += 1
             job.finish(table)
+        self._count("plans_completed" if job.state == "done"
+                    else "plans_failed")
         self._persist_session()
 
     def _run_plan_sync(self, job: PlanJob) -> str:
         """Evaluate one plan on a worker thread; returns table text."""
-        runner = _EngineRunner(self, job)
+        job.state = "running"       # queued until a plan thread is free
+        runner = _ServedRunner(self, job)
         request = job.request
         try:
             if "experiment" in request:
@@ -500,135 +509,96 @@ class SweepServer:
             else:
                 results = runner.run_plan(expand_grid(request))
                 text = render_grid_table(results)
+        except BaseException as exc:
+            # Joiners never hang: whatever ended this plan fails the
+            # keys it claimed and did not settle.
+            self._release(runner.claims, exc)
+            raise
         finally:
             if runner.last_metrics is not None:
                 job.metrics = runner.last_metrics.as_dict()
         return text
 
-    def _count_request(self, cells: int, from_cache: int) -> None:
-        """Count a plan's cells as it starts executing, so a plan that
-        fails or is still running shows in ``/metrics`` (loop thread,
-        so plain additions are safe)."""
-        self.counters["cells_requested"] += cells
-        self.totals["cells_from_cache"] += from_cache
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.counters[name] += 1
+
+    def _add_totals(self, counts: Dict[str, int]) -> None:
+        with self._lock:
+            add_counts(self.totals, counts)
 
     def _absorb_plan(self, metrics) -> None:
         """Count one finished plan; its cells were counted as it
-        started (loop thread)."""
-        self.totals["plans_run"] += 1
-        self.wall_seconds += metrics.wall_seconds
-        self._last_plan = metrics.as_dict()
+        started, and its chunks as they finished."""
+        with self._lock:
+            self.totals["plans_run"] += 1
+            self.wall_seconds += metrics.wall_seconds
+            self._last_plan = metrics.as_dict()
 
-    # -- the dedup/batch engine (event loop) ----------------------------
-
-    async def _schedule(self, job: PlanJob, cells, digests, keys, pending,
-                        ) -> Tuple[List[Tuple[int, dict]], Set[int]]:
-        """Schedule a plan's un-cached cells; returns
-        ``([(plan_index, record), ...], joined)``, where ``joined`` holds
-        the plan indices that joined an execution already in flight.
-        ``keys`` are the cache keys the runner's probe derived."""
-        joined: Set[int] = set()
-        waiters = []
-        for index in pending:
-            cell = cells[index]
-            key = keys[index]
-            future = self._inflight.get(key)
-            if future is not None:
-                joined.add(index)
-                self.totals["dedup_inflight_hits"] += 1
-                job.cell_state(index, "queued")
-            else:
-                future = self.loop.create_future()
-                self._inflight[key] = future
-                future.add_done_callback(
-                    functools.partial(self._uninflight, key))
-                task = _CellTask(job, index, cell, digests[index], key,
-                                 future)
-                job.cell_state(index, "queued")
-                await self._queue.put(task)
-            waiters.append((index, future))
-        records = []
-        for index, future in waiters:
-            try:
-                record = await asyncio.shield(future)
-            except Exception:
-                job.cell_state(index, "failed")
-                raise
-            job.cell_state(index, "done")
-            records.append((index, record))
-        return records, joined
-
-    def _uninflight(self, key: str, _future) -> None:
-        self._inflight.pop(key, None)
-
-    def _spawn_work(self, coro) -> None:
-        task = self.loop.create_task(coro)
-        self._work_tasks.add(task)
-        task.add_done_callback(self._work_tasks.discard)
-
-    async def _batcher(self) -> None:
-        """Coalesce submissions for one batching window, then regroup
-        them into kernel-affine chunks — cells of one kernel from any
-        number of concurrent plans share one chunk and one golden run."""
-        while True:
-            batch = [await self._queue.get()]
-            window = self.config.batch_window
-            if window > 0:
-                deadline = self.loop.time() + window
-                while True:
-                    remaining = deadline - self.loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), remaining))
-                    except asyncio.TimeoutError:
-                        break
-            self.counters["batches"] += 1
-            groups: Dict[str, List[_CellTask]] = {}
-            for task in batch:
-                groups.setdefault(task.digest, []).append(task)
-            for digest, tasks in groups.items():
-                self._spawn_work(self._run_chunk(digest, tasks))
-
-    async def _run_chunk(self, digest: str,
-                         tasks: List[_CellTask]) -> None:
-        self.counters["chunks"] += 1
-        shared: Dict[int, object] = {}
-        chunk = [(slot, ParallelRunner._pruned(task.cell, shared))
-                 for slot, task in enumerate(tasks)]
-        for task in tasks:
-            task.job.cell_state(task.index, "running")
-        call = functools.partial(self.pool.run, run_cell_chunk, [chunk],
-                                 labels=[digest])
-        try:
-            payloads = await self.loop.run_in_executor(
-                self._chunk_executor, call)
-        except Exception as exc:
+    def _count_chunk_failure(self, exc: Exception) -> None:
+        with self._lock:
             self.counters["chunk_failures"] += 1
             if isinstance(exc, PoolExhaustedError):
                 self.counters["pool_exhausted"] += 1
                 self.lost_digests.extend(exc.unfinished)
-            for task in tasks:
-                if not task.future.done():
-                    task.future.set_exception(exc)
-            return
-        payload = payloads[0]
-        add_counts(self.totals, payload["counts"])
-        for slot, record in payload["records"]:
-            task = tasks[slot]
-            try:
-                self.cache.store(task.key, record)
-            except OSError:
-                pass
-            if not task.future.done():
-                task.future.set_result(record)
+
+    # -- the claim table (plan threads) ---------------------------------
+
+    def _claim(self, claims: Dict[str, Future], digests: Sequence[str],
+               keys: Sequence[str], pending: Sequence[int],
+               counts: Dict[str, int]) -> Tuple[List[int], list]:
+        """Claim a plan's pending cells by cache key; returns ``(own,
+        joined)``: the indices whose keys it now owns (added to
+        ``claims``), and ``(index, future)`` per index whose key was
+        claimed already.  Counts the plan as it starts executing, so a
+        running or failed plan shows in ``/metrics``."""
+        own: List[int] = []
+        joined = []
+        with self._lock:
+            for index in pending:
+                key = keys[index]
+                claim = self._claims.get(key)
+                if claim is None:
+                    claim = self._claims[key] = claims[key] = Future()
+                    own.append(index)
+                else:
+                    joined.append((index, claim))
+            self.counters["cells_requested"] += len(keys)
+            self.totals["cells_from_cache"] += counts["cells_from_cache"]
+            self.totals["dedup_inflight_hits"] += len(joined)
+            if own:
+                # One pooled chunk per kernel (identity digest).
+                self.counters["batches"] += 1
+                self.counters["chunks"] += len({digests[i] for i in own})
+        return own, joined
+
+    def _settle(self, key: str, claim: Future, record: dict) -> None:
+        """The owner has stored ``record``: release its key and hand the
+        record to the key's joiners."""
+        with self._lock:
+            del self._claims[key]
+        claim.set_result(record)
+
+    def _release(self, claims: Dict[str, Future],
+                 exc: BaseException) -> None:
+        """Fail and release every claim in ``claims``: its owning plan
+        ended without settling them."""
+        with self._lock:
+            for key in claims:
+                del self._claims[key]
+        for claim in claims.values():
+            claim.set_exception(exc)
+        claims.clear()
 
     # -- metrics --------------------------------------------------------
 
     def metrics_payload(self) -> dict:
-        pool, counters = self.pool, self.counters
-        server = counter_sections(with_pool_counts(self.totals, pool))
+        pool = self.pool
+        with self._lock:
+            counters = dict(self.counters)
+            totals = with_pool_counts(self.totals, pool)
+            lost_digests = list(self.lost_digests)
+        server = counter_sections(totals)
         server["plans"].update(submitted=counters["plans_submitted"],
                                completed=counters["plans_completed"],
                                failed=counters["plans_failed"],
@@ -651,7 +621,7 @@ class SweepServer:
             chunks=counters["chunks"],
             chunk_failures=counters["chunk_failures"],
             pool_exhausted=counters["pool_exhausted"],
-            lost_digests=list(self.lost_digests))
+            lost_digests=lost_digests)
         return {"server": server,
                 "sessions": merge_session_metrics(self.cache.root)}
 

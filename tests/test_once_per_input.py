@@ -1,10 +1,11 @@
 """Work that depends only on a program or a machine point is done once.
 
 A sweep plan derives one config per distinct (base, point, overrides)
-input and the runner one key per distinct (program, config) pair; a
-worker chunk digests one final state per kernel; processors of one
-geometry share their lookup tables; a plan's journal keeps one
-descriptor and releases it on every way out of the runner.  None of it
+input and the runner one key per distinct (program, config) pair, and
+parses a cached hit's config once, in the cache's check; a worker chunk
+digests one final state per kernel; processors of one geometry share
+their lookup tables; a plan's journal keeps one descriptor and releases
+it on every way out of the runner.  None of it
 may move a record, a key or a journal line: the last test fills one
 corpus plan serially and pooled and compares the roots byte for byte.
 """
@@ -25,7 +26,7 @@ from repro.harness.pool import (PoolExhaustedError, golden_for,
                                 run_cell_chunk)
 from repro.harness.sweep import SweepCell
 from repro.isa.opcodes import OpClass
-from repro.uarch.config import default_config
+from repro.uarch.config import MachineConfig, default_config
 from repro.uarch.processor import Processor
 from repro.workloads import KERNELS
 
@@ -134,6 +135,35 @@ class TestOneKeyPerPair:
         monkeypatch.setattr(config_cls, "canonical_json", real)
         assert keys == [parallel_mod.cache_key(d, c.config())
                         for d, c in zip(digests, cells)]
+
+
+class TestOneParsePerHit:
+    def test_a_cached_hit_parses_its_config_once(self, tmp_path,
+                                                 monkeypatch):
+        # The cache's load validates a hit's config section; the result
+        # takes the plan's own config instead of parsing it again.
+        plan = SweepPlan()
+        plan.add_points(small(), E10_POINTS)
+        cache = ResultCache(str(tmp_path))
+        fresh = ParallelRunner(jobs=1, cache=cache).run_plan(plan)
+        calls = []
+        real = MachineConfig.from_dict.__func__
+
+        def counted(cls, data):
+            calls.append(data)
+            return real(cls, data)
+
+        monkeypatch.setattr(MachineConfig, "from_dict",
+                            classmethod(counted))
+        cached = ParallelRunner(jobs=1, cache=cache).run_plan(plan)
+        assert len(calls) == len(plan) == 7
+        monkeypatch.undo()
+        keys = plan_keys(plan.cells, identity_digests(plan.cells))
+        for cell, key, before, after in zip(plan, keys, fresh, cached):
+            assert after.from_cache and not before.from_cache
+            assert before.config is after.config is cell.config()
+            assert after.config == MachineConfig.from_dict(
+                cache.load(key)["config"])
 
 
 class TestGeometryTables:
