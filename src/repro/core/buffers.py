@@ -34,7 +34,7 @@ fields.  Two classes share that layout:
 A deposit is :meth:`~TokenBuffer.deposit4` with the token's fields as
 scalar arguments ``(producer, wave, value, final)``.
 
-:func:`new_buffer` picks the class from the producer count.
+:func:`buffer_spec` picks the class from the producer count.
 """
 
 from __future__ import annotations
@@ -243,15 +243,19 @@ class SoleBuffer(_SlotFields):
 SlotBuffer = Union[TokenBuffer, SoleBuffer]
 
 
-def new_buffer(order: Dict[ProducerKey, int]) -> SlotBuffer:
-    """The buffer for a slot whose producers are ``order``'s keys.
+def buffer_spec(order: Dict[ProducerKey, int]
+                ) -> Tuple[type, Union[ProducerKey, Dict[ProducerKey, int]]]:
+    """``(class, argument)`` of the buffer for a slot whose producers are
+    ``order``'s keys: ``class(argument)`` builds one.
 
     ``order`` is a (possibly shared, read-only) producer -> position map;
-    a single producer gets a :class:`SoleBuffer`.
+    a single producer gets a :class:`SoleBuffer` on its key.  Frame
+    templates record the pair per slot, so a fresh frame builds each
+    buffer with one call.
     """
     if len(order) == 1:
         (key,) = order
-        return SoleBuffer(key)
+        return SoleBuffer, key
     if not order:
         raise SimulationError("token buffer with no static producers")
-    return TokenBuffer(order)
+    return TokenBuffer, order

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..isa.instruction import (SLOT_OP0, SLOT_OP1, SLOT_PRED, Instruction,
@@ -41,7 +41,7 @@ from ..isa.opcodes import Opcode
 from ..isa.semantics import alu_callable, effective_address
 from ..isa.values import WORD_MASK
 from ..isa.values import is_true, to_unsigned
-from .buffers import SlotBuffer, new_buffer
+from .buffers import SlotBuffer, buffer_spec
 from .tokens import STATUS_ALL_NULL, STATUS_VALUE, ProducerKey, TokenValue
 
 #: Signature of an issue: per required slot, the (producer, wave) that fed it
@@ -128,42 +128,46 @@ class InstructionNode:
         "exec_count", "out_wave", "issued_signature", "last_outcome",
         "last_sent", "final_emitted", "lsq_value", "lsq_value_wave",
         "exec_useful", "last_lsq", "_buffer_list", "_sig_slots",
-        "_buf_by_val", "_op0_buf", "_op1_buf", "_pred_buf", "_sig_cache",
+        "_op0_buf", "_op1_buf", "_pred_buf", "_sig_cache",
         "_plan", "_producer_key", "life",
     )
 
     @classmethod
     def from_template(cls, frame_uid: int, index: int, inst: Instruction,
-                      slot_orders, plan, producer_key,
+                      slot_specs, plan, producer_key,
                       sig_slots) -> "InstructionNode":
         """Construct from a prevalidated frame template (the only way
         nodes are built).
 
-        ``slot_orders`` is a tuple of (slot value, shared producer-order
-        dict) pairs in slot-value order — see :func:`build_node_template`.
-        ``_buffer_list`` holds one buffer per required slot in signature
-        order (ascending slot value, the slots in ``_sig_slots``), and
-        ``_buf_by_val`` maps a slot value to its buffer.  ``life`` counts
-        the node's dynamic instances under arena recycling: bumped by
-        every ``reset_for_reuse`` so stale tile-heap entries (tagged with
-        the life they were pushed under) are recognisably dead.
+        ``slot_specs`` is a tuple of ``(slot value, buffer class, its
+        argument)`` triples in slot-value order — see
+        :func:`build_node_template`.  ``_buffer_list`` holds one buffer
+        per required slot in signature order (ascending slot value, the
+        slots in ``_sig_slots``).  ``life`` counts the node's dynamic
+        instances under arena recycling: bumped by every
+        ``reset_for_reuse`` so stale tile-heap entries (tagged with the
+        life they were pushed under) are recognisably dead.
         """
         node = cls.__new__(cls)
         node.frame_uid = frame_uid
         node.index = index
         node.inst = inst
         buffer_list = []
-        buf_by_val = {}
-        for val, order in slot_orders:
-            buf = new_buffer(order)
+        op0 = op1 = pred = None
+        for val, buffer_cls, arg in slot_specs:
+            buf = buffer_cls(arg)
             buffer_list.append(buf)
-            buf_by_val[val] = buf
+            if val == 0:
+                op0 = buf
+            elif val == 1:
+                op1 = buf
+            else:
+                pred = buf
         node._buffer_list = buffer_list
         node._sig_slots = sig_slots
-        node._buf_by_val = buf_by_val
-        node._op0_buf = buf_by_val.get(0)
-        node._op1_buf = buf_by_val.get(1)
-        node._pred_buf = buf_by_val.get(2)
+        node._op0_buf = op0
+        node._op1_buf = op1
+        node._pred_buf = pred
         node._plan = plan
         node._producer_key = producer_key
         node._sig_cache = None
@@ -356,24 +360,24 @@ class InstructionNode:
 
 
 def build_node_template(index: int, inst: Instruction,
-                        slot_producers: Dict[Slot, List[ProducerKey]]):
+                        slots: Tuple[Slot, ...],
+                        producers_by_slot: List[List[ProducerKey]]):
     """Precompute one instruction's node-construction data.
 
-    Validates once per static block instead of once per frame; the
-    producer-order dicts it builds are shared (read-only) by every
-    frame's buffers.
+    ``slots`` is ``inst.required_slots()`` and ``producers_by_slot`` the
+    static producers of each slot, indexed by slot value.  Validates
+    once per static block instead of once per frame; the producer-order
+    dicts it builds are shared (read-only) by every frame's buffers.
     """
-    orders = []
-    for slot in inst.required_slots():
-        producers = slot_producers.get(slot)
+    specs = []
+    for slot in slots:
+        producers = producers_by_slot[slot._value_]
         if not producers:
             raise SimulationError(
                 f"I{index} slot {slot.name} mapped with no producers")
-        orders.append((slot, slot._value_,
-                       {p: n for n, p in enumerate(producers)}))
-    # Signature order is ascending slot value; required_slots() already
-    # yields that order, the sort is belt-and-braces for exotic ISAs.
-    orders.sort(key=lambda t: t[1])
-    sig_slots = tuple(slot for slot, _, _ in orders)
-    return (index, inst, tuple((val, order) for _, val, order in orders),
-            _exec_plan(inst), ("inst", index), sig_slots)
+        specs.append((slot._value_,) + buffer_spec(
+            {p: n for n, p in enumerate(producers)}))
+    # Signature order is ascending slot value, the order
+    # ``required_slots()`` yields.
+    return (index, inst, tuple(specs), _exec_plan(inst), ("inst", index),
+            slots)

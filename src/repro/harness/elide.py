@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..uarch.recovery import get_protocol
 from .cache import cache_key
@@ -107,17 +107,20 @@ def point_class(config) -> Tuple:
     return ("flush",)
 
 
-def _config_group(config) -> Tuple[str, Tuple]:
-    """The config half of :func:`elision_key`: the config's JSON without
-    the speculation axis, and its :func:`point_class`."""
-    base = {name: value for name, value in config.to_dict().items()
+def config_texts(config) -> Tuple[dict, Tuple[str, Tuple]]:
+    """``(config.to_dict(), group)``, from one ``to_dict``: a record's
+    config section, and the config half of :func:`elision_key` (the
+    config's JSON without the speculation axis, and its
+    :func:`point_class`)."""
+    as_dict = config.to_dict()
+    base = {name: value for name, value in as_dict.items()
             if name not in AXIS_FIELDS}
-    return json.dumps(base, sort_keys=True), point_class(config)
+    return as_dict, (json.dumps(base, sort_keys=True), point_class(config))
 
 
 def elision_key(digest: str, config) -> Tuple[str, str, Tuple]:
     """Group key: cells sharing it may share one invariant run."""
-    return (digest,) + _config_group(config)
+    return (digest,) + config_texts(config)[1]
 
 
 def pair_invariant(certificate: dict, rep_config, config) -> bool:
@@ -147,66 +150,77 @@ def pair_invariant(certificate: dict, rep_config, config) -> bool:
             and config.dependence_policy in _NONDEFERRING_POLICIES)
 
 
-def forwarded_record(rep_record: dict, cell, config,
+def forwarded_record(rep_record: dict, cell, config_dict: dict,
                      rep_key: str) -> dict:
     """A sibling cell's cache record derived from the representative's.
 
     Same result payload and certificate; the identity fields (point,
-    label, config) are rewritten to the sibling's and ``forwarded_from``
-    carries the representative's cache key as provenance.  The cache
-    rewrites ``schema``/``key`` on admission, so the record is a
-    first-class entry under the sibling's own content address.
+    label, config) are rewritten to the sibling's (``config_dict`` is
+    its config's ``to_dict()``) and ``forwarded_from`` carries the
+    representative's cache key as provenance.  The cache rewrites
+    ``schema``/``key`` on admission, so the record is a first-class
+    entry under the sibling's own content address.
     """
     record = dict(rep_record)
     record.pop("key", None)
     record["point"] = cell.point
     record["label"] = cell.label
-    record["config"] = config.to_dict()
+    record["config"] = config_dict
     record["forwarded_from"] = rep_key
     return record
 
 
 def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
-                counts: Dict[str, int]):
+                counts: Dict[str, int],
+                texts: Optional[Dict[int, Tuple]] = None):
     """Run ``items`` with cross-point elision; yields ``(index, record)``.
 
     ``items`` is ``(plan_index, cell, identity_digest)`` triples in plan
-    order; ``execute(cell, config, digest)`` runs one real simulation and
-    returns its record.  Within each elision group, members run in order;
-    before a member simulates, every already-executed member's record is
-    checked with :func:`pair_invariant` and the member is forwarded from
-    the first match.  An executed member that forwards at least one
-    sibling counts as a ``counts["representative_runs"]``; a
-    multi-member group where some sibling still had to simulate counts
-    one ``counts["elision_fallbacks"]``.  With elision disabled every
-    item executes — same yields, no grouping.
+    order; ``execute(cell, config, digest, config_dict)`` runs one real
+    simulation and returns its record.  Within each elision group,
+    members run in order; before a member simulates, every
+    already-executed member's record is checked with
+    :func:`pair_invariant` and the member is forwarded from the first
+    match.  An executed member that forwards at least one sibling counts
+    as a ``counts["representative_runs"]``; a multi-member group where
+    some sibling still had to simulate counts one
+    ``counts["elision_fallbacks"]``.  With elision disabled every item
+    executes — same yields, no grouping.
 
-    Each distinct config's group text is derived once per call (a plan
-    shares one config object among cells of equal inputs), and a
-    representative's cache key once, when it first forwards.
+    Each distinct config's :func:`config_texts` are derived once per
+    call (a plan shares one config object among cells of equal inputs),
+    and a representative's cache key once, when it first forwards.
+    ``texts`` maps ``id(config)`` to ``(config, *config_texts(config))``;
+    each entry holds its config, so the id cannot pass to another object
+    meanwhile.  A pool worker passes it seeded with the texts it derived
+    for earlier chunks.
     """
+    if texts is None:
+        texts = {}
+
+    def texts_of(config) -> Tuple:
+        entry = texts.get(id(config))
+        if entry is None:
+            entry = texts[id(config)] = (config,) + config_texts(config)
+        return entry
+
     if not elision_enabled():
         for index, cell, digest in items:
-            yield index, execute(cell, cell.config(), digest)
+            config = cell.config()
+            yield index, execute(cell, config, digest, texts_of(config)[1])
         return
     groups: "OrderedDict[Tuple, list]" = OrderedDict()
-    # id(config) -> (config, its _config_group); the entry holds its
-    # config, so the id cannot pass to another object meanwhile.
-    config_groups: Dict[int, Tuple[object, Tuple]] = {}
     for index, cell, digest in items:
-        config = cell.config()
-        entry = config_groups.get(id(config))
-        if entry is None:
-            entry = config_groups[id(config)] = (config,
-                                                 _config_group(config))
-        groups.setdefault((digest,) + entry[1], []).append(
-            (index, cell, config))
+        config, config_dict, group = texts_of(cell.config())
+        groups.setdefault((digest,) + group, []).append(
+            (index, cell, config, config_dict))
     for key, members in groups.items():
         # [config, record, forwarded count, cache key once it forwards]
         # per executed member.
         executed = []
         simulated_siblings = 0
-        for position, (index, cell, config) in enumerate(members):
+        for position, (index, cell, config, config_dict) in enumerate(
+                members):
             donor = None
             for entry in executed:
                 if pair_invariant(entry[1].get("certificate"),
@@ -218,10 +232,10 @@ def elide_pairs(items: Iterable[Tuple[int, object, str]], execute,
                     counts["representative_runs"] += 1
                     donor[3] = cache_key(key[0], donor[0])
                 donor[2] += 1
-                yield index, forwarded_record(donor[1], cell, config,
+                yield index, forwarded_record(donor[1], cell, config_dict,
                                               donor[3])
                 continue
-            record = execute(cell, config, key[0])
+            record = execute(cell, config, key[0], config_dict)
             executed.append([config, record, 0, None])
             if position > 0:
                 simulated_siblings += 1

@@ -183,7 +183,8 @@ def _differential_problems(golden_state: ArchState,
 def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
                  frame_arena: Optional[dict] = None,
                  config: Optional[MachineConfig] = None,
-                 arch_digest: Optional[str] = None) -> dict:
+                 arch_digest: Optional[str] = None,
+                 config_dict: Optional[dict] = None) -> dict:
     """Run one cell and return its cache record.
 
     Runs the timing simulation against the kernel's golden run — the
@@ -200,7 +201,8 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
     kernel's final state when the caller already holds it: a state that
     passes the differential check has the golden state's registers and
     non-zero words, hence its digest, so it is used only once the check
-    has passed.
+    has passed.  ``config_dict`` is ``config.to_dict()`` when the caller
+    already derived it.
     """
     instance = cell.instance
     if config is None:
@@ -224,7 +226,8 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
         "kernel": instance.name,
         "point": cell.point,
         "label": cell.label,
-        "config": config.to_dict(),
+        "config": config_dict if config_dict is not None
+        else config.to_dict(),
         "result": {
             "stats": _counters_to_dict(result.stats),
             "network": _counters_to_dict(result.network_stats),
@@ -245,7 +248,9 @@ def execute_cell(cell: SweepCell, golden: Optional[Tuple] = None,
 
 
 def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
-              counts: Dict[str, int]) -> Iterable[Tuple[int, dict]]:
+              counts: Dict[str, int],
+              texts: Optional[Dict[int, Tuple]] = None,
+              ) -> Iterable[Tuple[int, dict]]:
     """The chunk body, pooled (:func:`~repro.harness.pool.run_cell_chunk`)
     and in-process alike: yields ``(plan_index, record)`` per item.
 
@@ -256,13 +261,15 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
     forwards clean representatives to their siblings.  A kernel's
     final-state digest is computed once, by its first executed cell
     after that cell's differential check; every later cell that passes
-    the check has the same final state.  Adds the ``CELL`` and
-    ``CHUNK`` counters (repro.harness.metrics) to ``counts``.
+    the check has the same final state.  ``texts`` is
+    :func:`~repro.harness.elide.elide_pairs`'s memo of config texts.
+    Adds the ``CELL`` and ``CHUNK`` counters (repro.harness.metrics) to
+    ``counts``.
     """
     arenas: Dict[int, dict] = {}
     arch_digests: Dict[str, str] = {}
 
-    def execute(cell, config, digest):
+    def execute(cell, config, digest, config_dict):
         golden, fresh = golden_for(cell.instance, digest)
         counts["golden_fresh_runs" if fresh else "golden_memo_hits"] += 1
         # One frame arena per program *object* (identity, not digest):
@@ -272,11 +279,12 @@ def run_chunk(items: Iterable[Tuple[int, SweepCell, str]],
         arena = arenas.setdefault(id(cell.instance.program), {})
         record = execute_cell(cell, golden=golden, frame_arena=arena,
                               config=config,
-                              arch_digest=arch_digests.get(digest))
+                              arch_digest=arch_digests.get(digest),
+                              config_dict=config_dict)
         arch_digests[digest] = record["arch_digest"]
         return record
 
-    for index, record in elide_pairs(items, execute, counts):
+    for index, record in elide_pairs(items, execute, counts, texts):
         count_cell(counts, record)
         yield index, record
     counts["kernels_executed"] += len(arch_digests)

@@ -31,6 +31,7 @@ scattered back into plan order, so tables stay byte-identical for every
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import threading
 import time
@@ -44,8 +45,9 @@ from ..arch.interp import run_program
 from ..arch.state import ArchState
 from ..arch.trace import ExecutionTrace
 from ..errors import SimulationError
+from .elide import config_texts
 from .metrics import CHUNK_NAMES, new_counts
-from .sweep import shared_config
+from .sweep import inputs_key
 
 
 class PoolExhaustedError(SimulationError, BrokenProcessPool):
@@ -74,11 +76,13 @@ _GOLDEN_MEMO: "OrderedDict[str, Tuple[ExecutionTrace, ArchState]]" = \
 #: programs.
 _GOLDEN_MEMO_CAP = 64
 
-#: Configs this process's chunk bodies derived, one per distinct plan
-#: input (:func:`~repro.harness.sweep.shared_config`'s exact value key,
-#: never an ``id``).  A pool worker derives each machine point's config
-#: once, not once per cell of every chunk; the configs are only read.
-_CONFIG_MEMO: Dict[Hashable, object] = {}
+#: What this process's chunk bodies derived per distinct plan input
+#: (:func:`~repro.harness.sweep.inputs_key`'s exact value key, never an
+#: ``id``): ``(config, *config_texts(config))``, the config and its
+#: record section and elision group text.  A pool worker derives each
+#: machine point's once, not once per cell of every chunk; all three are
+#: only read.
+_CONFIG_MEMO: Dict[Hashable, Tuple] = {}
 
 #: Distinct inputs kept before the memo starts over.
 _CONFIG_MEMO_CAP = 256
@@ -162,18 +166,27 @@ def run_cell_chunk(chunk: Sequence) -> dict:
     digest = next(iter(digests))
     if len(_CONFIG_MEMO) > _CONFIG_MEMO_CAP:
         _CONFIG_MEMO.clear()
+    # The chunk's ``elide_pairs`` texts, seeded from the memo.
+    texts: Dict[int, Tuple] = {}
 
     def with_config(cell):
         # A cell that arrives with its plan's config (an in-process
-        # caller) keeps it; the memo only holds configs derived here.
+        # caller) keeps it; the memo only holds what was derived here.
         if cell.derived is not None:
             return cell
-        return dataclasses.replace(
-            cell, derived=shared_config(cell, _CONFIG_MEMO))
+        key = inputs_key(cell.base, cell.point, cell.overrides)
+        entry = _CONFIG_MEMO.get(key) if key is not None else None
+        if entry is None:
+            config = cell.config()
+            entry = (config,) + config_texts(config)
+            if key is not None:
+                _CONFIG_MEMO[key] = entry
+        texts[id(entry[0])] = entry
+        return dataclasses.replace(cell, derived=entry[0])
 
     items = ((index, with_config(cell), digest) for index, cell in chunk)
     counts = new_counts(CHUNK_NAMES)
-    records = list(run_chunk(items, counts))
+    records = list(run_chunk(items, counts, texts))
     return {"records": records, "counts": counts, "pid": os.getpid()}
 
 
@@ -181,8 +194,18 @@ def run_cell_chunk(chunk: Sequence) -> dict:
 _PARENT_POLL_S = 0.5
 
 
-def _exit_with_parent() -> None:
-    """Executor initializer: end this worker when its parent is gone.
+def _init_worker() -> None:
+    """Executor initializer: freeze what the worker inherited, and end
+    the worker when its parent is gone.
+
+    The pool forks its workers after the parent has built the plan, so
+    every worker inherits all of it.  ``gc.freeze()`` moves everything
+    the worker holds now to the permanent generation, so the worker's
+    collections never walk (or dirty the pages of) the inherited plan;
+    the ``gc`` documentation gives this reason for freezing at
+    ``fork``.  It is O(1), and the worker still collects the garbage
+    its own chunks make: one simulated cell leaves thousands of objects
+    in reference cycles, so the collector stays on.
 
     An idle worker blocks on the executor's call queue, so one whose
     owner died without shutting the pool down (SIGKILL, an OOM kill,
@@ -191,6 +214,7 @@ def _exit_with_parent() -> None:
     changes.  The parent is the owner under fork and spawn, and the fork
     server, which exits with its owner, under forkserver.
     """
+    gc.freeze()
     parent = os.getppid()
 
     def watch() -> None:
@@ -239,7 +263,7 @@ class WorkerPool:
     def _ensure_locked(self) -> Tuple[ProcessPoolExecutor, int]:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_exit_with_parent)
+                max_workers=self.jobs, initializer=_init_worker)
             self.spinups += 1
             self._generation += 1
         return self._executor, self._generation

@@ -76,7 +76,7 @@ class SweepCell:
 _KEYABLE = (int, str, bool)
 
 
-def _inputs_key(base: Optional[MachineConfig], point: Optional[str],
+def inputs_key(base: Optional[MachineConfig], point: Optional[str],
                 overrides: Dict[str, object]) -> Optional[Hashable]:
     """An exact key for one derivation's inputs, or ``None`` when an
     override cannot be keyed.  A base enters by its canonical text, so
@@ -94,7 +94,7 @@ def shared_config(cell: SweepCell,
                   memo: Dict[Hashable, MachineConfig]) -> MachineConfig:
     """``cell``'s config: the one ``memo`` holds for its inputs, or a
     fresh one, recorded in ``memo`` when its inputs can be keyed."""
-    key = _inputs_key(cell.base, cell.point, cell.overrides)
+    key = inputs_key(cell.base, cell.point, cell.overrides)
     config = memo.get(key) if key is not None else None
     if config is None:
         config = cell.config()

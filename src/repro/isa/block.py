@@ -19,12 +19,13 @@ multi-producer token buffers are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BlockValidationError
-from .instruction import Instruction, Slot, Target, TargetKind
+from .instruction import (TARGET_INST, TARGET_WRITE, Instruction, Slot,
+                          Target, TargetKind)
 from .limits import DEFAULT_LIMITS, LEGAL_WIDTHS, NUM_REGS, BlockLimits
-from .opcodes import Opcode, op_info
+from .opcodes import OP_INFO, Opcode
 
 #: A producer of a token: either a register-read slot or an instruction.
 #: ``("read", i)`` is read slot *i*; ``("inst", i)`` is instruction *i*.
@@ -79,6 +80,8 @@ class Block:
         self._plan_cache = None
         #: Compiled golden-model plan (see repro.arch.interp).
         self._golden_plan = None
+        #: :attr:`successors`, recorded by a successful :meth:`validate`.
+        self._successors: Optional[Tuple[str, ...]] = None
         #: Set by a successful :meth:`validate`; mutation goes through the
         #: builders, which call :meth:`invalidate_caches` (clearing this),
         #: so re-validating an unchanged block is a no-op.  This is what
@@ -108,12 +111,15 @@ class Block:
 
     @property
     def successors(self) -> List[str]:
-        """The distinct block labels this block may branch to."""
-        out: List[str] = []
-        for ins in self.instructions:
-            if ins.is_branch and ins.branch_target not in out:
-                out.append(ins.branch_target)
-        return out
+        """The distinct block labels this block may branch to.
+
+        A validated block answers from the list its validation recorded
+        (``Program.validate`` and every cold next-block prediction ask).
+        """
+        if self._validated:
+            return list(self._successors)
+        return _distinct_targets(
+            ins for ins in self.instructions if ins.is_branch)
 
     def instruction_of_lsid(self, lsid: int) -> int:
         """Index of the memory instruction carrying ``lsid``."""
@@ -151,20 +157,23 @@ class Block:
         self._lsq_template = None
         self._plan_cache = None
         self._golden_plan = None
+        self._successors = None
         self._validated = False
 
     def __getstate__(self):
         """Pickle without the process-local derived caches.
 
         The frame template and the plans hold ALU lambdas, which cannot
-        be pickled, and a copy in another process rebuilds all four
-        caches on first use anyway.  ``_slot_producers`` and
-        ``_validated`` describe the block's own content and travel with
-        it.
+        be pickled, and a copy in another process rebuilds all five
+        caches on first use anyway: a pool worker never needs
+        ``_slot_producers`` (frame templates collect producers
+        themselves), which was half a chunk's unpickling time.
+        ``_successors`` and ``_validated`` describe the block's own
+        content and travel with it.
         """
         state = self.__dict__.copy()
-        for name in ("_frame_template", "_lsq_template", "_plan_cache",
-                     "_golden_plan"):
+        for name in ("_slot_producers", "_frame_template", "_lsq_template",
+                     "_plan_cache", "_golden_plan"):
             state[name] = None
         return state
 
@@ -191,10 +200,13 @@ class Block:
         if len(self.writes) > lim.max_writes:
             err(f"{len(self.writes)} write slots (limit {lim.max_writes})")
 
+        # One ``required_slots()`` per instruction for every check below.
+        required = [ins.required_slots() for ins in self.instructions]
         self._validate_interface(err)
-        self._validate_instructions(err)
-        self._validate_wiring(err)
+        branches = self._validate_instructions(err)
+        self._validate_wiring(err, required)
         self._validate_acyclic(err)
+        self._successors = tuple(_distinct_targets(branches))
         self._validated = True
 
     def _validate_interface(self, err) -> None:
@@ -213,8 +225,17 @@ class Block:
                 err(f"register R{r.reg} read by two read slots")
             seen_read_regs.add(r.reg)
 
-    def _validate_instructions(self, err) -> None:
-        mem_ops = [i for i in self.instructions if i.is_memory]
+    def _validate_instructions(self, err) -> List[Instruction]:
+        """Check opcodes, LSIDs, widths and branches; returns the branch
+        instructions in block order."""
+        mem_ops = []
+        branches = []
+        for ins in self.instructions:
+            opcode = ins.opcode
+            if opcode is Opcode.LOAD or opcode is Opcode.STORE:
+                mem_ops.append(ins)
+            elif opcode is Opcode.BRO:
+                branches.append(ins)
         if len(mem_ops) > self.limits.max_memory_ops:
             err(f"{len(mem_ops)} memory ops "
                 f"(limit {self.limits.max_memory_ops})")
@@ -230,7 +251,6 @@ class Block:
             if i.width not in LEGAL_WIDTHS:
                 err(f"illegal memory width {i.width}")
 
-        branches = [i for i in self.instructions if i.is_branch]
         if not branches:
             err("no branch instruction (blocks must name a successor)")
         for b in branches:
@@ -240,73 +260,99 @@ class Block:
             err("multiple branches require all branches to be predicated")
 
         for idx, ins in enumerate(self.instructions):
-            info = op_info(ins.opcode)
-            if ins.imm is not None and ins.opcode is not Opcode.MOVI \
-                    and not ins.is_memory and not info.allows_imm:
-                err(f"I{idx} ({ins.opcode.value}) does not allow an immediate")
-            if ins.is_store and ins.targets:
-                err(f"I{idx}: stores carry no dataflow targets")
-            if ins.is_branch and ins.targets:
-                err(f"I{idx}: branches carry no dataflow targets")
-            if ins.lsid is not None and not ins.is_memory:
+            opcode = ins.opcode
+            memory = opcode is Opcode.LOAD or opcode is Opcode.STORE
+            if ins.imm is not None and opcode is not Opcode.MOVI \
+                    and not memory and not OP_INFO[opcode].allows_imm:
+                err(f"I{idx} ({opcode.value}) does not allow an immediate")
+            if ins.targets:
+                if opcode is Opcode.STORE:
+                    err(f"I{idx}: stores carry no dataflow targets")
+                if opcode is Opcode.BRO:
+                    err(f"I{idx}: branches carry no dataflow targets")
+            if ins.lsid is not None and not memory:
                 err(f"I{idx}: LSID on a non-memory opcode")
+        return branches
 
-    def _validate_wiring(self, err) -> None:
-        n = len(self.instructions)
-        for origin, targets in self._iter_target_lists():
+    def _validate_wiring(self, err, required) -> None:
+        """Every target names a consumed slot, and every required slot
+        and write slot has a producer.  ``required`` holds each
+        instruction's ``required_slots()``."""
+        instructions = self.instructions
+        n = len(instructions)
+        n_writes = len(self.writes)
+        #: Per instruction, one bit per slot value that some target feeds.
+        fed = [0] * n
+        written = [False] * n_writes
+        for position, targets in self._iter_target_lists():
             for tgt in targets:
-                if tgt.kind is TargetKind.WRITE:
-                    if not 0 <= tgt.index < len(self.writes):
-                        err(f"{origin} targets missing write "
-                            f"slot W{tgt.index}")
+                if tgt.kind is TARGET_WRITE:
+                    if not 0 <= tgt.index < n_writes:
+                        err(f"{self._origin(position)} targets missing "
+                            f"write slot W{tgt.index}")
+                    written[tgt.index] = True
                     continue
                 if not 0 <= tgt.index < n:
-                    err(f"{origin} targets missing instruction I{tgt.index}")
-                consumer = self.instructions[tgt.index]
-                if tgt.slot not in consumer.required_slots():
-                    err(f"{origin} targets "
-                        f"I{tgt.index}.{tgt.slot.name.lower()} "
-                        f"which {consumer.opcode.value} does not consume")
+                    err(f"{self._origin(position)} targets missing "
+                        f"instruction I{tgt.index}")
+                slot = tgt.slot
+                if slot not in required[tgt.index]:
+                    err(f"{self._origin(position)} targets "
+                        f"I{tgt.index}.{slot.name.lower()} which "
+                        f"{instructions[tgt.index].opcode.value} does "
+                        f"not consume")
+                fed[tgt.index] |= 1 << slot._value_
 
-        producers = self.slot_producers
-        for idx, ins in enumerate(self.instructions):
-            for slot in ins.required_slots():
-                if ("inst", idx, slot) not in producers:
-                    err(f"I{idx} ({ins.opcode.value}) slot "
+        for idx, slots in enumerate(required):
+            for slot in slots:
+                if not fed[idx] >> slot._value_ & 1:
+                    err(f"I{idx} ({instructions[idx].opcode.value}) slot "
                         f"{slot.name.lower()} has no producer")
-        for wi in range(len(self.writes)):
-            if ("write", wi, None) not in producers:
+        for wi in range(n_writes):
+            if not written[wi]:
                 err(f"write slot W{wi} (R{self.writes[wi].reg}) "
                     f"has no producer")
 
+    def _origin(self, position: int) -> str:
+        """Error-message name of a :meth:`_iter_target_lists` position."""
+        if position < len(self.reads):
+            return f"read R{self.reads[position].reg} (slot {position})"
+        return f"I{position - len(self.reads)}"
+
     def _validate_acyclic(self, err) -> None:
         """The intra-block dataflow graph must be a DAG (else it deadlocks)."""
-        n = len(self.instructions)
-        adj: List[List[int]] = [[] for _ in range(n)]
+        instructions = self.instructions
+        n = len(instructions)
         indeg = [0] * n
-        for ii, ins in enumerate(self.instructions):
+        for ins in instructions:
             for tgt in ins.targets:
-                if tgt.kind is TargetKind.INST:
-                    adj[ii].append(tgt.index)
+                if tgt.kind is TARGET_INST:
                     indeg[tgt.index] += 1
         ready = [i for i in range(n) if indeg[i] == 0]
         visited = 0
         while ready:
             node = ready.pop()
             visited += 1
-            for succ in adj[node]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
+            for tgt in instructions[node].targets:
+                if tgt.kind is TARGET_INST:
+                    indeg[tgt.index] -= 1
+                    if indeg[tgt.index] == 0:
+                        ready.append(tgt.index)
         if visited != n:
             cyclic = [i for i in range(n) if indeg[i] > 0]
             err(f"dataflow cycle through instructions {cyclic}")
 
     def _iter_target_lists(self):
-        for ri, read in enumerate(self.reads):
-            yield f"read R{read.reg} (slot {ri})", read.targets
-        for ii, ins in enumerate(self.instructions):
-            yield f"I{ii}", ins.targets
+        """``(position, targets)`` for every target list: the read
+        slots' first, then the instructions' (including any appended
+        while iterating).  :meth:`_origin` names a position."""
+        position = 0
+        for read in self.reads:
+            yield position, read.targets
+            position += 1
+        for ins in self.instructions:
+            yield position, ins.targets
+            position += 1
 
     # ------------------------------------------------------------------
 
@@ -323,6 +369,15 @@ class Block:
         for wi, w in enumerate(self.writes):
             lines.append(f"  write[{wi}] R{w.reg}")
         return "\n".join(lines)
+
+
+def _distinct_targets(branches: Iterable[Instruction]) -> List[str]:
+    """The distinct branch target labels of ``branches``, in order."""
+    out: List[str] = []
+    for ins in branches:
+        if ins.branch_target not in out:
+            out.append(ins.branch_target)
+    return out
 
 
 def _consumer_key(target: Target) -> ConsumerKey:

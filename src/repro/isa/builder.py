@@ -23,14 +23,16 @@ time, exactly as an EDGE compiler would emit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import IsaError
 from .block import Block, ProducerId, ReadSlot, WriteSlot
-from .instruction import Instruction, Slot, Target, TargetKind
+from .instruction import (SLOT_OP0, SLOT_OP1, SLOT_PRED, TARGET_INST,
+                          Instruction, Slot, Target, TargetKind)
 from .limits import DEFAULT_LIMITS, BlockLimits
-from .opcodes import Opcode, op_info
+from .opcodes import OP_INFO, Opcode
 from .program import DataSegment, Program
 from .values import to_unsigned
 
@@ -89,19 +91,15 @@ class BlockBuilder:
     def _wire(self, producer: ProducerId) -> Wire:
         return Wire(self, (producer,))
 
-    def _targets_of(self, producer: ProducerId) -> List[Target]:
-        kind, idx = producer
-        if kind == "read":
-            return self._reads[idx].targets
-        return self._insts[idx].targets
-
     def _connect(self, wire: Wire, target: Target) -> None:
         if wire.owner is not self:
             raise IsaError(
                 f"wire from block {wire.owner.name!r} used in block "
                 f"{self.name!r}; wires cannot cross block boundaries")
-        for producer in wire.producers:
-            self._targets_of(producer).append(target)
+        for kind, idx in wire.producers:
+            producer = self._reads[idx] if kind == "read" \
+                else self._insts[idx]
+            producer.targets.append(target)
 
     def _emit(self, inst: Instruction,
               operands: Sequence[Optional[Wire]],
@@ -110,13 +108,12 @@ class BlockBuilder:
         inst.pred = sense
         idx = len(self._insts)
         self._insts.append(inst)
-        slots = (Slot.OP0, Slot.OP1)
-        for slot, operand in zip(slots, operands):
+        for slot, operand in zip((SLOT_OP0, SLOT_OP1), operands):
             if operand is not None:
-                self._connect(operand, Target(TargetKind.INST, idx, slot))
+                self._connect(operand, _inst_target(idx, slot))
         if pred_wire is not None:
-            self._connect(pred_wire, Target(TargetKind.INST, idx, Slot.PRED))
-        return self._wire(("inst", idx))
+            self._connect(pred_wire, _inst_target(idx, SLOT_PRED))
+        return Wire(self, (("inst", idx),))
 
     def op(self, opcode: Opcode, *operands: Wire,
            imm: Optional[int] = None, pred: PredArg = None) -> Wire:
@@ -124,7 +121,7 @@ class BlockBuilder:
 
         ``imm`` replaces the final operand for opcodes that allow it.
         """
-        info = op_info(opcode)
+        info = OP_INFO[opcode]
         if opcode in (Opcode.LOAD, Opcode.STORE, Opcode.BRO):
             raise IsaError("use load()/store()/branch() for memory/branch ops")
         expected = info.arity - (1 if imm is not None and info.allows_imm
@@ -137,7 +134,7 @@ class BlockBuilder:
                 f"got {len(operands)}")
         inst = Instruction(opcode, imm=to_unsigned(imm) if imm is not None
                            and opcode is Opcode.MOVI else imm)
-        return self._emit(inst, list(operands), pred)
+        return self._emit(inst, operands, pred)
 
     # ------------------------------------------------------------------
     # Block interface: reads, writes, memory, branches
@@ -288,12 +285,13 @@ class BlockBuilder:
 
     def _bin(self, opcode: Opcode, a: Wire, b: Optional[Wire],
              imm: Optional[int], pred: PredArg) -> Wire:
+        """A two-operand opcode, all of which take an immediate in place
+        of the second wire: :meth:`op`'s operand-count check holds by
+        construction, so the instruction is emitted directly."""
         if (b is None) == (imm is None):
             raise IsaError(
                 f"{opcode.value} needs exactly one of a second wire or imm=")
-        if b is not None:
-            return self.op(opcode, a, b, pred=pred)
-        return self.op(opcode, a, imm=imm, pred=pred)
+        return self._emit(Instruction(opcode, imm=imm), (a, b), pred)
 
     # ------------------------------------------------------------------
     # Finalisation
@@ -347,6 +345,14 @@ class ProgramBuilder:
             program.add_block(builder.finish())
         program.validate()
         return program
+
+
+@functools.lru_cache(maxsize=1024)
+def _inst_target(index: int, slot: Slot) -> Target:
+    """The target of operand ``slot`` of instruction ``index``: one
+    shared object per pair (targets are immutable), built once instead
+    of once per emitted operand."""
+    return Target(TARGET_INST, index, slot)
 
 
 def _split_pred(pred: PredArg) -> Tuple[Optional[Wire], Optional[bool]]:

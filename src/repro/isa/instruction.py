@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .opcodes import Opcode, op_info
+from .opcodes import OP_INFO, Opcode
 
 
 class Slot(enum.Enum):
@@ -22,6 +22,9 @@ class Slot(enum.Enum):
     OP0 = 0
     OP1 = 1
     PRED = 2
+
+    #: Identity hash, as on :class:`~repro.isa.opcodes.OpClass`.
+    __hash__ = object.__hash__
 
 
 #: The members bound once as module constants (the same objects, so
@@ -37,6 +40,9 @@ class TargetKind(enum.Enum):
 
     INST = "inst"     # an operand slot of an instruction in the same block
     WRITE = "write"   # one of the block's register-write slots
+
+    #: Identity hash, as on :class:`Slot`.
+    __hash__ = object.__hash__
 
 
 #: Bound once like the ``SLOT_*`` constants above.
@@ -88,22 +94,12 @@ class Instruction:
 
     def required_value_slots(self) -> Tuple[Slot, ...]:
         """The value slots that must receive a token before firing."""
-        arity = op_info(self.opcode).arity
-        if self.imm is not None and self.opcode is not Opcode.MOVI \
-                and self.opcode not in (Opcode.LOAD, Opcode.STORE):
-            arity -= 1
-        if arity <= 0:
-            return ()
-        if arity == 1:
-            return (Slot.OP0,)
-        return (Slot.OP0, Slot.OP1)
+        return _REQUIRED_SLOTS[self.opcode][self.imm is not None]
 
     def required_slots(self) -> Tuple[Slot, ...]:
         """All slots (values + predicate) that must be filled before firing."""
-        slots = self.required_value_slots()
-        if self.pred is not None:
-            return slots + (Slot.PRED,)
-        return slots
+        return _REQUIRED_SLOTS[self.opcode][
+            (self.imm is not None) + 2 * (self.pred is not None)]
 
     @property
     def is_load(self) -> bool:
@@ -134,3 +130,24 @@ class Instruction:
         if self.targets:
             parts.append("=> " + ", ".join(str(t) for t in self.targets))
         return " ".join(parts)
+
+
+def _required_table(opcode: Opcode) -> Tuple[Tuple[Slot, ...], ...]:
+    """An ``opcode`` instruction's required slots, indexed by ``(imm is
+    not None) + 2 * (pred is not None)``.
+
+    An immediate replaces the last value operand, except on ``MOVI``
+    (whose immediate is its value) and on memory operations (whose
+    immediate is a displacement); a predicate adds ``PRED``.
+    """
+    arity = OP_INFO[opcode].arity
+    with_imm = arity if opcode in (Opcode.MOVI, Opcode.LOAD,
+                                   Opcode.STORE) else arity - 1
+    value_slots = ((), (SLOT_OP0,), (SLOT_OP0, SLOT_OP1))
+    plain = tuple(value_slots[max(0, n)] for n in (arity, with_imm))
+    return plain + tuple(slots + (SLOT_PRED,) for slots in plain)
+
+
+#: :func:`_required_table` per opcode, built once: ``required_slots()``
+#: is read per instruction by validation, frame templates and plans.
+_REQUIRED_SLOTS = {opcode: _required_table(opcode) for opcode in Opcode}

@@ -29,6 +29,13 @@ class OpClass(enum.Enum):
     MEM_STORE = "mem_store"    # issues to the LSQ
     BRANCH = "branch"          # produces the block's exit target
 
+    #: Identity hash, computed in C: members are singletons compared by
+    #: identity, and the Python-level ``Enum.__hash__`` (a hash of the
+    #: name) showed up at per-instruction frequency in program builds
+    #: and dict lookups keyed by a member.  No output iterates a set of
+    #: members, so no order depends on it.
+    __hash__ = object.__hash__
+
 
 class Opcode(enum.Enum):
     """All opcodes of the EDGE-style ISA.
@@ -81,6 +88,9 @@ class Opcode(enum.Enum):
     # Branch: names the successor block.  Exactly one branch produces a
     # non-null target per block execution; predication arbitrates.
     BRO = "bro"
+
+    #: Identity hash, as on :class:`OpClass`.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

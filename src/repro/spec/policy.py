@@ -20,10 +20,17 @@ The four policies of the evaluation:
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 #: Static identity of a memory operation: (block name, lsid).
 StaticMemId = Tuple[str, int]
+
+#: A memory operation's place in sequential memory order is the integer
+#: ``order_key = (seq << LSID_BITS) | lsid``.  Block validation keeps
+#: every LSID below its ``max_memory_ops``, and the LSQ refuses a block
+#: whose bound does not fit, so integer keys order exactly like
+#: ``(seq, lsid)`` tuples.
+LSID_BITS = 32
 
 
 class LoadQuery:
@@ -79,6 +86,15 @@ class DependencePolicy:
     never_waits = False
     #: should_wait is exactly "any older in-flight store unresolved".
     waits_for_any_unresolved = False
+    #: should_wait is exactly "the older in-flight store whose order key
+    #: :meth:`producer_key` names is unresolved" (False when it names
+    #: none, or no such store is in flight).
+    waits_for_producer = False
+
+    def producer_key(self, load: LoadQuery) -> Optional[int]:
+        """The order key of the one store a ``waits_for_producer``
+        policy waits for, or ``None``."""
+        return None
 
     def should_wait(self, load: LoadQuery,
                     older_stores: Iterable[StoreView]) -> bool:

@@ -22,6 +22,11 @@ from ..isa.opcodes import OpClass
 Coord = Tuple[int, int]
 
 
+#: Every functional-unit class, in declaration order (``validate``
+#: checks each one's latency).
+_OP_CLASSES = tuple(OpClass)
+
+
 def _default_latencies() -> Dict[OpClass, int]:
     return {
         OpClass.INT_ALU: 1,
@@ -123,8 +128,9 @@ class MachineConfig:
                 f"unknown next-block predictor {self.next_block_predictor!r}")
         if self.port_bandwidth < 1:
             raise ConfigError("port bandwidth must be >= 1")
-        for klass in OpClass:
-            if self.fu_latencies.get(klass, 0) < 1:
+        latencies = self.fu_latencies
+        for klass in _OP_CLASSES:
+            if latencies.get(klass, 0) < 1:
                 raise ConfigError(f"latency for {klass} must be >= 1")
 
     # --- Geometry -------------------------------------------------------

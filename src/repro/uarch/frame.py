@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.buffers import SlotBuffer, new_buffer
+from ..core.buffers import SlotBuffer, buffer_spec
 from ..core.node import OUT_NULL, InstructionNode, build_node_template
 from ..core.tokens import STATUS_VALUE
 from ..errors import SimulationError
 from ..isa.block import Block
-from ..isa.instruction import Slot
+from ..isa.instruction import TARGET_WRITE
 
 
 def _build_frame_template(block: Block):
@@ -25,29 +25,51 @@ def _build_frame_template(block: Block):
     and index dicts; this captures them (all read-only) so frame mapping
     is allocation of fresh mutable state only.  Cached on the block itself
     (cleared by ``Block.invalidate_caches``).
+
+    One pass over the target lists collects every slot's producers, in
+    the order of ``Block.slot_producers`` (reads, then instructions, each
+    in target order).  Returns ``(node templates, write buffer specs,
+    branch buffer spec, lsid -> instruction index, register -> write
+    index, indices of the nodes with no required slot)``; a buffer spec
+    is :func:`~repro.core.buffers.buffer_spec`'s ``(class, argument)``.
     """
-    producers = block.slot_producers
-    node_templates = []
-    for idx, inst in enumerate(block.instructions):
-        slot_map: Dict[Slot, list] = {}
-        for slot in inst.required_slots():
-            slot_map[slot] = producers.get(("inst", idx, slot), [])
-        node_templates.append(build_node_template(idx, inst, slot_map))
-    write_orders = []
-    for wi in range(len(block.writes)):
-        write_producers = producers[("write", wi, None)]
-        if not write_producers:
-            raise SimulationError("token buffer with no static producers")
-        write_orders.append({p: n for n, p in enumerate(write_producers)})
-    branch_producers = [("inst", i) for i in block.branch_indices]
-    if not branch_producers:
-        raise SimulationError("token buffer with no static producers")
-    branch_order = {p: n for n, p in enumerate(branch_producers)}
-    lsid_to_index = {inst.lsid: i for i, inst in enumerate(block.instructions)
+    instructions = block.instructions
+    inst_producers = [[[], [], []] for _ in instructions]
+    write_producers = [[] for _ in block.writes]
+    sources = [(("read", ri), read.targets)
+               for ri, read in enumerate(block.reads)]
+    sources += [(("inst", ii), inst.targets)
+                for ii, inst in enumerate(instructions)]
+    for producer, targets in sources:
+        for target in targets:
+            if target.kind is TARGET_WRITE:
+                write_producers[target.index].append(producer)
+            else:
+                inst_producers[target.index][target.slot._value_].append(
+                    producer)
+    node_templates = tuple(
+        build_node_template(idx, inst, inst.required_slots(),
+                            inst_producers[idx])
+        for idx, inst in enumerate(instructions))
+    write_specs = tuple(buffer_spec({p: n for n, p in enumerate(producers)})
+                        for producers in write_producers)
+    branch_spec = buffer_spec({("inst", i): n for n, i
+                               in enumerate(block.branch_indices)})
+    lsid_to_index = {inst.lsid: i for i, inst in enumerate(instructions)
                      if inst.is_memory}
     write_index_of_reg = {w.reg: wi for wi, w in enumerate(block.writes)}
-    return (tuple(node_templates), tuple(write_orders), branch_order,
-            lsid_to_index, write_index_of_reg)
+    constants = tuple(nt[0] for nt in node_templates if not nt[2])
+    return (node_templates, write_specs, branch_spec, lsid_to_index,
+            write_index_of_reg, constants)
+
+
+def frame_template(block: Block):
+    """``block``'s :func:`_build_frame_template`, built on first use."""
+    template = block._frame_template
+    if template is None:
+        template = block._frame_template = _build_frame_template(block)
+    return template
+
 
 @dataclass
 class ReadForward:
@@ -66,20 +88,17 @@ class Frame:
         self.seq = seq
         self.block = block
 
-        template = getattr(block, "_frame_template", None)
-        if template is None:
-            template = _build_frame_template(block)
-            block._frame_template = template
-        (node_templates, write_orders, branch_order,
-         lsid_to_index, write_index_of_reg) = template
+        template = frame_template(block)
+        (node_templates, write_specs, (branch_cls, branch_arg),
+         lsid_to_index, write_index_of_reg, constants) = template
 
         self.nodes: List[InstructionNode] = [
-            InstructionNode.from_template(uid, idx, inst, orders, plan,
+            InstructionNode.from_template(uid, idx, inst, specs, plan,
                                           pkey, sig_slots)
-            for idx, inst, orders, plan, pkey, sig_slots in node_templates]
+            for idx, inst, specs, plan, pkey, sig_slots in node_templates]
 
         self.write_buffers: List[SlotBuffer] = [
-            new_buffer(order) for order in write_orders]
+            cls(arg) for cls, arg in write_specs]
         #: Last (value, final) forwarded per write slot, and its wave.
         self.write_forwarded: List[Optional[Tuple[int, bool]]] = (
             [None] * len(block.writes))
@@ -87,14 +106,17 @@ class Frame:
         #: Younger frame uids subscribed to each write slot.
         self.subscribers: List[List[int]] = [[] for _ in block.writes]
 
-        self.branch_buffer = new_buffer(branch_order)
+        self.branch_buffer = branch_cls(branch_arg)
 
         self.read_forwards: List[ReadForward] = [
             ReadForward() for _ in block.reads]
 
-        #: Shared, read-only index dicts from the block template.
+        #: Shared, read-only index dicts from the block template, and
+        #: the indices of the nodes with no required slot (the ones that
+        #: may issue as soon as the frame is mapped).
         self.lsid_to_index: Dict[int, int] = lsid_to_index
         self.write_index_of_reg: Dict[int, int] = write_index_of_reg
+        self.constants: Tuple[int, ...] = constants
 
         #: What the fetch engine predicted this block's successor to be.
         self.predicted_next: Optional[str] = None

@@ -55,7 +55,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
 from ..arch.memory import SparseMemory
 from ..errors import SimulationError
 from ..isa.block import Block
-from ..spec.policy import DependencePolicy
+from ..spec.policy import LSID_BITS, DependencePolicy
 from ..stats.counters import InvarianceCertificate
 from .cache import Cache
 
@@ -73,11 +73,6 @@ MEM_LOAD = MemKind.LOAD
 MEM_STORE = MemKind.STORE
 
 
-#: ``order_key = (seq << LSID_BITS) | lsid``.  ``Block.validate`` keeps
-#: every LSID below its ``max_memory_ops``, and ``register_frame`` refuses
-#: a block whose bound does not fit, so integer keys order exactly like
-#: ``(seq, lsid)`` tuples.
-LSID_BITS = 32
 
 
 class MemEntry:
@@ -712,6 +707,13 @@ class LoadStoreQueue:
             pass                      # aggressive: skip the view entirely
         elif policy.waits_for_any_unresolved:
             return True
+        elif policy.waits_for_producer:
+            # The oracle: one lookup of the named store, no view.
+            key = policy.producer_key(entry)
+            if key is not None and key < entry.order_key:
+                store = self._store_by_key.get(key)
+                if store is not None and not store.resolved:
+                    return True
         elif policy.should_wait(entry, self._policy_view(entry)):
             return True
         # The wait bit persists until the instance commits: the frame may

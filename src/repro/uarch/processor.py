@@ -52,8 +52,8 @@ from .lsq import Confirmed, LoadResponse, LoadStoreQueue, Violation
 from .network import OperandNetwork
 from .predictor import build_predictor
 from .recovery import build_recovery
-from .specialize import (FLAT_KIND_NAMES, BlockPlan, machine_point_key,
-                         plan_for)
+from .specialize import (FLAT_KIND_NAMES, BlockPlan, geometry_tables,
+                         machine_point_key, plan_for)
 from .tile import ExecTile
 
 #: Arena bound: retired frames kept per block.  The cap only bounds
@@ -62,45 +62,6 @@ _FRAME_ARENA_CAP = 8
 
 #: Sentinel "no tile work scheduled" cycle (past any legal max_cycles).
 _NEVER = 1 << 62
-
-#: Geometry tables (``_inst_tile``, ``_inst_coord``, ``_resp_route``,
-#: ``_fwd_delta``; see ``Processor.__init__``) per distinct
-#: ``(grid_width, grid_height, local_latency, base_latency,
-#: hop_latency)``, the only fields they read.  Shared between processors
-#: as tuples, so no processor can write another's; keyed by value, so a
-#: config never reaches another geometry's tables.
-_GEOMETRY: Dict[Tuple[int, ...], Tuple[tuple, tuple, tuple, int]] = {}
-
-#: More distinct geometries than any sweep uses; past it the memo starts
-#: over (a long session over random configs stays bounded).
-_GEOMETRY_CAP = 64
-
-
-def _geometry_tables(config: MachineConfig
-                     ) -> Tuple[tuple, tuple, tuple, int]:
-    """``(inst_tile, inst_coord, resp_route, fwd_delta)`` for
-    ``config``'s geometry, computed once per distinct geometry."""
-    key = (config.grid_width, config.grid_height, config.local_latency,
-           config.base_latency, config.hop_latency)
-    tables = _GEOMETRY.get(key)
-    if tables is not None:
-        return tables
-    inst_tile = tuple(config.tile_of_instruction(i) for i in range(128))
-    inst_coord = tuple(config.tile_coord(t) for t in inst_tile)
-    route = config.route_latency
-    lsq_coord = config.lsq_coord
-    control_coord = config.control_coord
-    resp_route = tuple(route(lsq_coord, config.tile_coord(i))
-                       for i in range(config.n_tiles))
-    fwd_delta = max(1, route(control_coord, control_coord))
-    tables = (inst_tile, inst_coord, resp_route, fwd_delta)
-    # Only plain ints key the memo: ``4`` and ``4.0`` are equal keys but
-    # would build different tables.
-    if all(type(value) is int for value in key):
-        if len(_GEOMETRY) >= _GEOMETRY_CAP:
-            _GEOMETRY.clear()
-        _GEOMETRY[key] = tables
-    return tables
 
 
 @dataclass
@@ -189,9 +150,16 @@ class Processor:
                                   certificate=self.certificate)
         self.predictor = build_predictor(self.config, golden)
         self.predictor.certificate = self.certificate
-        self.tiles = [ExecTile(self.config.tile_coord(i),
-                               self.config.issue_width_per_tile)
-                      for i in range(self.config.n_tiles)]
+        # The geometry's tables are shared, read-only tuples: the static
+        # instruction-index -> tile map and its coordinates, each tile's
+        # coordinate, the routed LSQ -> tile latency behind every load
+        # response, per tile (the LSQ adds its access latency before the
+        # ``max(1, ...)`` clamp, so the raw route is kept), and the
+        # control-to-control delay of a register forward.
+        (self._inst_tile, self._inst_coord, tile_coords, self._resp_route,
+         self._fwd_delta, _) = geometry_tables(self.config)
+        width = self.config.issue_width_per_tile
+        self.tiles = [ExecTile(coord, width) for coord in tile_coords]
         #: Tiles holding ready or executing nodes — the only ones the main
         #: loop ticks or polls.  A tile enters on enqueue and leaves when
         #: observed drained; a drained tile cannot schedule work by itself.
@@ -216,17 +184,10 @@ class Processor:
         self.last_commit_cycle = 0
         self.done = False
         self.stats = SimStats()
-        # Hot-path lookup tables: the static instruction-index -> tile
-        # coordinate map, the control/LSQ coordinates (the config exposes
-        # them as properties, which rebuild tuples per access), the routed
-        # LSQ -> tile latency behind every load response, per tile (the
-        # LSQ adds its access latency before the ``max(1, ...)`` clamp, so
-        # the raw route is kept), the control-to-control delay of a
-        # register forward, and per-instruction FU latency (seeded from
-        # each block's plan at first map).  The geometry tables are
-        # tuples shared between processors of one geometry.
-        (self._inst_tile, self._inst_coord, self._resp_route,
-         self._fwd_delta) = _geometry_tables(self.config)
+        # Hot-path lookup tables besides the geometry's (above): the
+        # control/LSQ coordinates (the config exposes them as properties,
+        # which rebuild tuples per access) and per-instruction FU latency
+        # (seeded from each block's plan at first map).
         self._control_coord = self.config.control_coord
         self._lsq_coord = self.config.lsq_coord
         self._op_latency: Dict[int, int] = {}
@@ -985,11 +946,11 @@ class Processor:
         if hooks is not None:
             hooks.on_map(self.cycle, uid, seq, name)
 
-        for node in frame.nodes:
-            # A freshly mapped node can only issue if it has no required
-            # slots at all (constants); every buffer starts EMPTY.
-            if not node._buffer_list:
-                self._enqueue(frame, node)
+        # A freshly mapped node can only issue if it has no required
+        # slots at all (constants); every buffer starts EMPTY.
+        nodes = frame.nodes
+        for index in frame.constants:
+            self._enqueue(frame, nodes[index])
 
         self._wire_reads(frame)
 

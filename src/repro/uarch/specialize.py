@@ -45,10 +45,10 @@ out of range), and ``Processor`` validates the program it runs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import Dict, Tuple
 
-from ..isa.opcodes import op_info
-from ..isa.instruction import TargetKind
+from ..isa.instruction import TARGET_WRITE
+from ..isa.opcodes import OP_INFO
 
 #: Bound on cached plans per block: one entry per machine point seen.
 #: Sweeps visit a handful of points per block; the cap only matters for
@@ -61,20 +61,75 @@ FLAT_KIND_NAMES = ("TOKEN", "TOKEN", "TOKEN", "LOAD_REQ", "STORE_UPD",
                    "LOAD_RESP", "REG_FWD")
 
 
+#: Geometry tables (see :func:`geometry_tables`) per distinct
+#: ``(grid_width, grid_height, local_latency, base_latency,
+#: hop_latency)``, the only fields they read.  Shared between processors
+#: and plans as tuples, so no reader can write another's; keyed by
+#: value, so a config never reaches another geometry's tables.
+_GEOMETRY: Dict[Tuple[int, ...], Tuple] = {}
+
+#: More distinct geometries than any sweep uses; past it the memo starts
+#: over (a long session over random configs stays bounded).
+_GEOMETRY_CAP = 64
+
+
+def geometry_tables(config) -> Tuple[tuple, tuple, tuple, tuple, int,
+                                     tuple]:
+    """``(inst_tile, inst_coord, tile_coords, resp_route, fwd_delta,
+    deltas)`` for ``config``'s geometry, computed once per distinct
+    geometry.
+
+    ``inst_tile`` and ``inst_coord`` map each instruction index of a
+    block (up to 128) to its tile and the tile's coordinate, and
+    ``tile_coords`` each tile index to its coordinate; ``resp_route``
+    is the raw routed latency from the LSQ to each tile, ``fwd_delta``
+    the clamped control-to-control delay of a register forward.
+    ``deltas[a][b]`` is the clamped delay ``max(1, route)`` between two
+    fabric positions: the tiles by index, then the control unit
+    (position ``n_tiles``) and the LSQ (``n_tiles + 1``).
+    """
+    key = (config.grid_width, config.grid_height, config.local_latency,
+           config.base_latency, config.hop_latency)
+    tables = _GEOMETRY.get(key)
+    if tables is not None:
+        return tables
+    inst_tile = tuple(config.tile_of_instruction(i) for i in range(128))
+    inst_coord = tuple(config.tile_coord(t) for t in inst_tile)
+    route = config.route_latency
+    lsq_coord = config.lsq_coord
+    control_coord = config.control_coord
+    n_tiles = config.n_tiles
+    points = tuple(config.tile_coord(i) for i in range(n_tiles)) \
+        + (control_coord, lsq_coord)
+    resp_route = tuple(route(lsq_coord, points[i]) for i in range(n_tiles))
+    fwd_delta = max(1, route(control_coord, control_coord))
+    deltas = tuple(tuple(max(1, route(src, dst)) for dst in points)
+                   for src in points)
+    tables = (inst_tile, inst_coord, points[:n_tiles], resp_route,
+              fwd_delta, deltas)
+    # Only plain ints key the memo: ``4`` and ``4.0`` are equal keys but
+    # would build different tables.
+    if all(type(value) is int for value in key):
+        if len(_GEOMETRY) >= _GEOMETRY_CAP:
+            _GEOMETRY.clear()
+        _GEOMETRY[key] = tables
+    return tables
+
+
 def machine_point_key(config) -> Tuple:
     """The subset of a MachineConfig a :class:`BlockPlan` depends on.
 
     Only geometry and latency fields enter a plan: the tile grid (target
     coordinates and the instruction->tile mapping), the three routing
-    latencies (precomputed per-edge deltas), and the FU latency table.
-    Everything else — policies, window size, port bandwidth, cache
-    geometry — is read at delivery/issue time and never baked in, so two
-    configs that agree on this key share compiled plans.
+    latencies (precomputed per-edge deltas), and the FU latency table
+    (as a set of items: equal tables are equal keys whatever their
+    order).  Everything else — policies, window size, port bandwidth,
+    cache geometry — is read at delivery/issue time and never baked in,
+    so two configs that agree on this key share compiled plans.
     """
-    fu = tuple(sorted((klass.name, latency)
-                      for klass, latency in config.fu_latencies.items()))
     return (config.grid_width, config.grid_height, config.hop_latency,
-            config.base_latency, config.local_latency, fu)
+            config.base_latency, config.local_latency,
+            frozenset(config.fu_latencies.items()))
 
 
 class BlockPlan:
@@ -111,60 +166,59 @@ class BlockPlan:
         self.latency_by_id = latency_by_id
 
 
-def _compile_targets(targets, src, coords, slot_vals, control, delta):
-    """Send entries for one static target list."""
+def _compile_targets(targets, src, inst_tile, inst_coord, slot_vals,
+                     control, control_coord, deltas):
+    """Send entries for one static target list sent from fabric
+    position ``src`` (see :func:`geometry_tables`)."""
+    from_src = deltas[src]
     entries = []
     for target in targets:
-        if target.kind is TargetKind.WRITE:
-            entries.append((1, control, target.index, delta(src, control)))
+        index = target.index
+        if target.kind is TARGET_WRITE:
+            entries.append((1, control_coord, index, from_src[control]))
         else:
-            pos = slot_vals[target.index].index(target.slot._value_)
-            coord = coords[target.index]
-            entries.append((0, coord, target.index, pos, delta(src, coord)))
+            pos = slot_vals[index].index(target.slot._value_)
+            entries.append((0, inst_coord[index], index, pos,
+                            from_src[inst_tile[index]]))
     return tuple(entries)
 
 
 def compile_plan(block, config) -> BlockPlan:
-    """Compile a validated block's plan for ``config``'s machine point."""
-    from .frame import _build_frame_template
-    template = getattr(block, "_frame_template", None)
-    if template is None:
-        template = _build_frame_template(block)
-        block._frame_template = template
-    node_templates = template[0]
+    """Compile a validated block's plan for ``config``'s machine point.
+
+    Coordinates and routed deltas come from the geometry's tables
+    (:func:`geometry_tables`), one lookup per edge.
+    """
+    from .frame import frame_template
     #: Per node: the slot values backing ``_buffer_list``, in list order.
-    slot_vals = tuple(tuple(val for val, _ in nt[2])
-                      for nt in node_templates)
+    slot_vals = tuple(tuple(spec[0] for spec in nt[2])
+                      for nt in frame_template(block)[0])
 
     instructions = block.instructions
-    n_tiles = config.n_tiles
-    control = config.control_coord
-    lsq = config.lsq_coord
-    coords = tuple(config.tile_coord(i % n_tiles)
-                   for i in range(len(instructions)))
-    route = config.route_latency
+    inst_tile, inst_coord, _, _, _, deltas = geometry_tables(config)
+    control = config.n_tiles
+    lsq = control + 1
+    control_coord = config.control_coord
 
-    def delta(src, dst):
-        return max(1, route(src, dst))
-
-    sends = tuple(_compile_targets(inst.targets, coords[idx], coords,
-                                   slot_vals, control, delta)
+    sends = tuple(_compile_targets(inst.targets, inst_tile[idx], inst_tile,
+                                   inst_coord, slot_vals, control,
+                                   control_coord, deltas)
                   for idx, inst in enumerate(instructions))
-    reads = tuple(_compile_targets(read.targets, control, coords,
-                                   slot_vals, control, delta)
+    reads = tuple(_compile_targets(read.targets, control, inst_tile,
+                                   inst_coord, slot_vals, control,
+                                   control_coord, deltas)
                   for read in block.reads)
 
     fu_latencies = config.fu_latencies
-    latencies = tuple(fu_latencies[op_info(inst.opcode).op_class]
+    latencies = tuple(fu_latencies[OP_INFO[inst.opcode].op_class]
                       for inst in instructions)
+    tiles = inst_tile[:len(instructions)]
     return BlockPlan(
         sends=sends,
         reads=reads,
         read_keys=tuple(("read", ri) for ri in range(len(block.reads))),
-        branch_deltas=tuple(delta(coords[i], control)
-                            for i in range(len(instructions))),
-        lsq_deltas=tuple(delta(coords[i], lsq)
-                         for i in range(len(instructions))),
+        branch_deltas=tuple(deltas[tile][control] for tile in tiles),
+        lsq_deltas=tuple(deltas[tile][lsq] for tile in tiles),
         latencies=latencies,
         latency_by_id={id(inst): lat
                        for inst, lat in zip(instructions, latencies)},

@@ -20,6 +20,9 @@ from .config import Coord
 class ExecTile:
     """One ALU tile of the grid: its ready and executing heaps."""
 
+    __slots__ = ("coord", "issue_width", "_ready", "_push_seq", "_queued",
+                 "_executing")
+
     def __init__(self, coord: Coord, issue_width: int):
         self.coord = coord
         self.issue_width = issue_width

@@ -249,6 +249,33 @@ class TestProgramValidation:
     def test_halt_successor_ok(self):
         Program(entry="a", blocks=[minimal_block("a")]).validate()
 
+    def test_missing_successor_after_every_block_was_validated(self):
+        # A validated block answers successors from its validation, so
+        # the program check must still run on every call: a block that
+        # loses its successor, an edited and invalidated branch, and an
+        # added block each reach the missing-block check.
+        a = Block("a", instructions=[branch("b")])
+        program = Program(entry="a", blocks=[a, minimal_block("b")])
+        program.validate()
+        del program.blocks["b"]
+        with pytest.raises(IsaError, match="missing block 'b'"):
+            program.validate()
+        a.instructions[0].branch_target = "@halt"
+        a.invalidate_caches()
+        program.validate()
+        a.instructions[0].branch_target = "ghost"
+        a.invalidate_caches()
+        with pytest.raises(IsaError, match="missing block 'ghost'"):
+            program.validate()
+        a.instructions[0].branch_target = "@halt"
+        a.invalidate_caches()
+        program.validate()
+        c = Block("c", instructions=[branch("nowhere")])
+        c.validate()
+        program.add_block(c)
+        with pytest.raises(IsaError, match="missing block 'nowhere'"):
+            program.validate()
+
     def test_overlapping_segments(self):
         program = Program(entry="a", blocks=[minimal_block("a")],
                           segments=[DataSegment("s1", 0x100, b"\x00" * 16),

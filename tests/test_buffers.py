@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buffers import SoleBuffer, TokenBuffer, new_buffer
+from repro.core.buffers import SoleBuffer, TokenBuffer, buffer_spec
 from repro.core.tokens import SlotStatus
 from repro.errors import SimulationError
 
@@ -83,7 +83,7 @@ class TestSingleProducer:
 
     def test_no_producers_raises(self):
         with pytest.raises(SimulationError):
-            new_buffer({})
+            buffer_spec({})
 
 
 class TestMultiProducer:
@@ -250,10 +250,11 @@ class TestSoleBuffer:
             assert _slot_state(buf) == fresh
             assert buf.deposit4(P1, 1, 7, False) == (True, False)
 
-    def test_new_buffer_picks_the_class(self):
-        assert isinstance(new_buffer({P1: 0}), SoleBuffer)
+    def test_buffer_spec_picks_the_class(self):
+        assert buffer_spec({P1: 0}) == (SoleBuffer, P1)
         shared = {P1: 0, P2: 1}
-        buf = new_buffer(shared)
+        cls, arg = buffer_spec(shared)
+        buf = cls(arg)
         assert isinstance(buf, TokenBuffer) and buf._order is shared
         with pytest.raises(SimulationError, match="no static producers"):
-            new_buffer({})
+            buffer_spec({})

@@ -19,12 +19,13 @@ import repro.harness.parallel as parallel_mod
 import repro.harness.pool as pool_mod
 from repro.errors import GoldenMismatchError
 from repro.harness import ParallelRunner, ResultCache, SweepPlan
+from repro.harness.elide import config_texts
 from repro.harness.experiments import E10_POINTS, corpus_plan
 from repro.harness.parallel import execute_cell, plan_keys
 from repro.harness.pool import (PoolExhaustedError, golden_for,
                                 identity_digests, reset_golden_memo,
                                 run_cell_chunk)
-from repro.harness.sweep import SweepCell
+from repro.harness.sweep import SweepCell, inputs_key
 from repro.isa.opcodes import OpClass
 from repro.uarch.config import MachineConfig, default_config
 from repro.uarch.processor import Processor
@@ -112,6 +113,33 @@ class TestOneConfigPerInput:
         assert len(seen) == 4 and seen[0] is seen[2] and seen[1] is seen[3]
         assert seen[0] is not seen[1]
         assert all(cell.derived is None for cell in pruned)
+
+
+    def test_a_workers_config_texts_match_fresh_ones(self, monkeypatch):
+        """The worker's memo holds, per input, the config with its
+        record section and elision group text: each equals a fresh
+        ``to_dict``/``config_texts`` of that cell's own config, and an
+        override with another value is another input."""
+        monkeypatch.setattr(pool_mod, "_CONFIG_MEMO", {})
+        plan = SweepPlan()
+        inst = small()
+        plan.add_points(inst, ("aggressive", "dsre"))
+        plan.add(inst, "dsre", max_frames=4)
+        plan.add(inst, "dsre", max_frames=6)
+        pruned = [ParallelRunner._pruned(cell, {}) for cell in plan]
+        for cells in (pruned, pruned):        # the second chunk hits
+            records = run_cell_chunk(list(enumerate(cells)))["records"]
+            assert [record["config"] for _, record in records] == \
+                [cell.config().to_dict() for cell in plan]
+        memo = pool_mod._CONFIG_MEMO
+        assert len(memo) == 4
+        for cell in pruned:
+            entry = memo[inputs_key(cell.base, cell.point, cell.overrides)]
+            fresh = cell.config()             # a new derivation
+            assert fresh is not entry[0]
+            assert entry[1:] == config_texts(fresh)
+        frames = sorted(entry[1]["max_frames"] for entry in memo.values())
+        assert frames == [4, 6, 8, 8]
 
 
 class TestOneKeyPerPair:

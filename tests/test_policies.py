@@ -3,10 +3,15 @@
 import pytest
 
 from repro.arch import run_program
+from repro.arch.memory import SparseMemory
+from repro.isa import ProgramBuilder
 from repro.spec import (AggressivePolicy, ConservativePolicy, OraclePolicy,
                         StoreSetPolicy, build_policy)
 from repro.spec.policy import LoadQuery, StoreView
+from repro.uarch.cache import Cache
 from repro.uarch.config import default_config
+from repro.uarch.lsq import LoadStoreQueue
+from repro.uarch.recovery import build_recovery
 
 
 def load_q(name="blk", lsid=0, seq=5, addr=0x100):
@@ -105,6 +110,59 @@ class TestOracle:
         assert not policy.on_correct_path(wrong)
         assert not policy.should_wait(
             wrong, [StoreView(("a", 0), 0, 0, resolved=False)])
+
+
+class _CountingDict(dict):
+    """A dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def _oracle_poll(older_stores):
+    """Poll one oracle load behind ``older_stores`` in-flight stores.
+
+    Block ``s0`` stores to the load's address, ``s1`` .. ``s{n-1}`` to
+    other addresses, and block ``ld`` loads it, so the load's producer
+    is the oldest store.  Every store is unresolved when the load's
+    address arrives.  Returns ``(deferred, store lookups, views built)``
+    for that one poll.
+    """
+    pb = ProgramBuilder(entry="s0")
+    for i in range(older_stores):
+        b = pb.block(f"s{i}")
+        b.store(b.const(0x1000 + 8 * i), b.movi(i + 1))
+        b.write(1, b.movi(i))
+        b.branch(f"s{i + 1}" if i + 1 < older_stores else "ld")
+    b = pb.block("ld")
+    b.write(2, b.load(b.const(0x1000)))
+    b.branch("@halt")
+    program = pb.build()
+    trace, _ = run_program(program)
+    lsq = LoadStoreQueue(SparseMemory(),
+                         Cache("d", 1024, 2, 64, hit_latency=2),
+                         OraclePolicy(trace), forward_latency=2,
+                         protocol=build_recovery(default_config()))
+    for seq, record in enumerate(trace.records):
+        lsq.register_frame(seq, seq, program.block(record.name))
+    lsq._store_by_key = _CountingDict(lsq._store_by_key)
+    views = []
+    real_view = lsq._policy_view
+    lsq._policy_view = lambda load: views.append(load) or real_view(load)
+    assert lsq.load_request(older_stores, 0, 0x1000, 1) == []
+    return (lsq.entry(older_stores, 0).deferred, lsq._store_by_key.gets,
+            len(views))
+
+
+class TestOracleIndex:
+    def test_a_poll_reads_one_store_however_many_are_older(self):
+        # The oracle names its producer by order key and the LSQ looks
+        # it up: no view of the older stores is built or scanned.
+        for older in (2, 8, 24):
+            assert _oracle_poll(older) == (True, 1, 0)
 
 
 class TestFactory:

@@ -1,6 +1,7 @@
 """Tests for the persistent worker pool, kernel-affine chunking, and the
 per-process golden memo (repro.harness.pool)."""
 
+import gc
 import json
 import os
 import signal
@@ -54,6 +55,10 @@ def _always_exit(_task):
 
 def _boom(_task):
     raise ValueError("boom")
+
+
+def _freeze_count(_task):
+    return gc.get_freeze_count()
 
 
 def _echo_pid(task):
@@ -115,6 +120,14 @@ class TestWorkerPool:
         with WorkerPool(jobs=2) as pool:
             out = pool.run(_echo_pid, list(range(5)))
         assert [task for _, task in out] == list(range(5))
+
+    def test_workers_freeze_what_they_inherit(self):
+        # A worker's collections skip the objects it inherited at fork;
+        # the parent itself freezes nothing.
+        with WorkerPool(jobs=1) as pool:
+            (count,) = pool.run(_freeze_count, [None])
+        assert count > 0
+        assert gc.get_freeze_count() == 0
 
     def test_executor_reused_across_runs(self):
         with WorkerPool(jobs=1) as pool:

@@ -82,3 +82,48 @@ def test_no_samples():
     assert sample_sim.aggregate([(MAIN, FETCH)]) == (0, {}, {})
     assert sample_sim.report(0, {}, {}) == [
         "no samples inside Processor.run"]
+
+
+CHUNK = ("repro.harness.pool", "run_cell_chunk")
+MAP = ("repro.uarch.processor", "Processor._map_frame")
+FRAME = ("repro.uarch.frame", "Frame.__init__")
+INIT = ("repro.uarch.processor", "Processor.__init__")
+
+
+def test_function_units_count_each_function_once_per_sample():
+    # The chunk body's view: a frame built under a map inside the run,
+    # and processor construction beside the run.
+    stacks = [
+        (MAIN, CHUNK, INIT),
+        (MAIN, CHUNK, RUN, FETCH, MAP, FRAME),
+        (MAIN, CHUNK, RUN, MAP, FRAME, MAP),   # recursion counts once
+        (MAIN, CHUNK),
+        (MAIN, RUN, MAP),                      # outside the chunk body
+    ]
+    root = sample_sim.CHUNK_ROOT
+    samples, _, functions = sample_sim.aggregate(
+        stacks, root, unit=sample_sim.label)
+    assert samples == 4
+    assert functions == {
+        _label(INIT): 1, _label(RUN): 2, _label(FETCH): 1,
+        _label(MAP): 2, _label(FRAME): 2}
+    _, _, modules = sample_sim.aggregate(stacks, root)
+    assert modules == {"repro.uarch.processor": 3, "repro.uarch.frame": 2}
+
+
+def test_report_names_its_root_and_lists_functions():
+    stacks = [(CHUNK, RUN, MAP, FRAME)] * 3 + [(CHUNK, INIT)]
+    root = sample_sim.CHUNK_ROOT
+    samples, paths, modules = sample_sim.aggregate(stacks, root)
+    _, _, functions = sample_sim.aggregate(stacks, root,
+                                           unit=sample_sim.label)
+    lines = sample_sim.report(samples, paths, modules, min_share=0.3,
+                              root=root, functions=functions)
+    assert lines[0].startswith("4 samples inside run_cell_chunk")
+    start = lines.index("inclusive share of functions below "
+                        "run_cell_chunk (>= 30.0%):")
+    assert [line.split() for line in lines[start + 1:]] == [
+        ["75.0%", _label(FRAME)], ["75.0%", _label(MAP)],
+        ["75.0%", _label(RUN)]]
+    assert sample_sim.report(0, {}, {}, root=root) == [
+        "no samples inside run_cell_chunk"]

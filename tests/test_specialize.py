@@ -31,8 +31,9 @@ from repro.harness.cache import ResultCache
 from repro.harness.parallel import ParallelRunner, arch_state_digest
 from repro.harness.runner import STANDARD_POINTS, run_point
 from repro.harness.sweep import SweepPlan
-from repro.isa import Opcode
+from repro.isa import Opcode, Slot, Target, TargetKind
 from repro.uarch.config import default_config
+from repro.uarch.frame import frame_template
 from repro.uarch.specialize import (PLAN_CACHE_CAP, BlockPlan, compile_plan,
                                     machine_point_key, plan_for)
 from repro.workloads import KERNELS
@@ -253,3 +254,56 @@ class TestEditedBlock:
         with ParallelRunner(jobs=1) as runner:
             assert after == self._dsre_cycles(runner, fresh)
         assert after != before
+
+    @staticmethod
+    def _predicate_a_shift(block):
+        """Predicate ``loop``'s I4 on read slot 0: its required slots
+        gain PRED, so its node template and read 0's sends change."""
+        block.instructions[4].pred = True
+        block.reads[0].targets.append(Target(TargetKind.INST, 4, Slot.PRED))
+        block.invalidate_caches()
+
+    @staticmethod
+    def _retarget_the_exit(block):
+        """Send ``loop``'s exit branch back to ``init``."""
+        (exit_branch,) = [inst for inst in block.instructions
+                          if inst.branch_target == "@halt"]
+        exit_branch.branch_target = "init"
+        block.invalidate_caches()
+
+    @staticmethod
+    def _derived(program, config):
+        """What validation, a frame and a plan derive for ``loop``, in a
+        form two separately built copies can be compared by."""
+        program.validate()
+        block = program.blocks["loop"]
+        nodes, *rest = frame_template(block)
+        # A node's exec plan holds an ALU callable, which a copy's
+        # template rebuilds as a new object: compare its result.
+        nodes = [node[:3] + (node[3][:4] + (node[3][4] and node[3][4](6, 3),
+                                            node[3][5]),) + node[4:]
+                 for node in nodes]
+        plan, _ = plan_for(block, machine_point_key(config), config)
+        return (block.successors, nodes, rest,
+                (plan.sends, plan.reads, plan.read_keys, plan.branch_deltas,
+                 plan.lsq_deltas, plan.latencies))
+
+    def test_edits_after_a_cached_run_match_a_fresh_copy(self):
+        # A run validates the program and caches the block's
+        # successors, frame template and plan; each edit, followed by
+        # ``invalidate_caches``, must leave nothing of them behind.
+        config = default_config()
+        instance = self._vecsum()
+        run_point(instance, "dsre")
+        before = self._derived(instance.program, config)
+        edits = (self._predicate_a_shift, self._retarget_the_exit)
+        for count in range(1, len(edits) + 1):
+            edits[count - 1](instance.program.blocks["loop"])
+            fresh = self._vecsum()
+            for edit in edits[:count]:
+                edit(fresh.program.blocks["loop"])
+            derived = self._derived(instance.program, config)
+            assert derived == self._derived(fresh.program, config)
+            assert derived != before
+            before = derived
+        assert derived[0] == ["loop", "init"]
